@@ -27,7 +27,14 @@ import numpy as np
 
 from .experiment import ProbabilityTable, resample_cells
 from .noise import IDEAL_GATE_SET, gate_unitary
-from .ptm import log_abs_det, log_abs_det_many, pauli_basis, vectorize_effect, vectorize_state
+from .ptm import (
+    log_abs_det,
+    log_abs_det_many,
+    pauli_basis,
+    trace_powers,
+    vectorize_effect,
+    vectorize_state,
+)
 
 __all__ = [
     "IllConditioned",
@@ -229,7 +236,18 @@ def _null_spread_thresholds(boots: np.ndarray) -> tuple[float, float]:
     return max(float(q95), EXACT_SPREAD_TOL), max(float(q99), EXACT_SPREAD_TOL)
 
 
-def _spread_verdict(observed: float, thr95: float, thr99: float) -> Verdict:
+def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verdict:
+    """Three-way verdict of a statistic against its null's 95%/99% thresholds.
+
+    A non-finite statistic or threshold (for instance a bootstrap null built
+    from ``-inf`` log-determinants) supports no verdict: the result is
+    ``Inconclusive`` and the reason goes into ``details``.
+    """
+    values = {"statistic": observed, "threshold95": thr95, "threshold99": thr99}
+    bad = [name for name, value in values.items() if not np.isfinite(value)]
+    if bad:
+        details["inconclusive_reason"] = "non-finite " + ", ".join(bad)
+        return Verdict.INCONCLUSIVE
     if observed > thr99:
         return Verdict.CONTEXT_DEPENDENT
     if observed > thr95:
@@ -276,7 +294,8 @@ def det_permutation_test(
         )
         thr95, thr99 = _null_spread_thresholds(boots)
         ci_low, ci_high = _percentile_ci(boots)
-    verdict = _spread_verdict(observed, thr95, thr99)
+    details: dict = {"singular_members": singular}
+    verdict = _verdict(observed, thr95, thr99, details)
 
     summary = {
         "spread": observed,
@@ -285,7 +304,6 @@ def det_permutation_test(
         "threshold99": thr99,
         "n_singular": len(singular),
     }
-    details: dict = {"singular_members": singular}
     if cal is not None:
         offset = cal.log_abs_det
         summary["raw_units_offset"] = -offset
@@ -315,15 +333,7 @@ def _fidelities(stack: np.ndarray, p0_stack: np.ndarray, r_max: int) -> np.ndarr
     """Power-trace fidelities ``Tr[(P P0^-1)^r] / n`` for r = 1..r_max, batched."""
     # M = P P0^{-1}  <=>  M^T = solve(P0^T, P^T)
     m = np.linalg.solve(np.swapaxes(p0_stack, -1, -2), np.swapaxes(stack, -1, -2))
-    m = np.swapaxes(m, -1, -2)
-    n = m.shape[-1]
-    out = np.empty(m.shape[:-2] + (r_max,))
-    acc = m
-    out[..., 0] = np.trace(acc, axis1=-2, axis2=-1) / n
-    for r in range(1, r_max):
-        acc = acc @ m
-        out[..., r] = np.trace(acc, axis1=-2, axis2=-1) / n
-    return out
+    return trace_powers(np.swapaxes(m, -1, -2), r_max) / m.shape[-1]
 
 
 def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -355,18 +365,12 @@ def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
-    """Observed-statistic fidelities, one table at a time, extended precision."""
-    out = np.empty((len(entries_list), r_max))
-    n = p0_entries.shape[0]
+    """Observed-statistic fidelities, solved and multiplied in extended precision."""
     p0_t = np.asarray(p0_entries, dtype=float).T
-    for j, entries in enumerate(entries_list):
-        m = _solve_extended(p0_t, np.asarray(entries, dtype=float).T).T
-        acc = m
-        out[j, 0] = float(np.trace(acc)) / n
-        for r in range(1, r_max):
-            acc = acc @ m
-            out[j, r] = float(np.trace(acc)) / n
-    return out
+    m = np.stack(
+        [_solve_extended(p0_t, np.asarray(entries, dtype=float).T).T for entries in entries_list]
+    )
+    return trace_powers(m, r_max).astype(float) / p0_t.shape[0]
 
 
 def cyclic_fidelity_test(
@@ -408,7 +412,15 @@ def cyclic_fidelity_test(
         )
         thr95, thr99 = _null_spread_thresholds(boots)
         ci_low, ci_high = _percentile_ci(boots)
-    verdict = _spread_verdict(observed, thr95, thr99)
+    details = {
+        "fidelity_by_order": {
+            str(order + 1): fid_all[:, order] for order in range(n)
+        },
+        "spread_by_order": {
+            str(order + 1): _spread(fid_all[:, order]) for order in range(n)
+        },
+    }
+    verdict = _verdict(observed, thr95, thr99, details)
 
     summary = {
         "order": r,
@@ -417,14 +429,6 @@ def cyclic_fidelity_test(
         "threshold95": thr95,
         "threshold99": thr99,
         "reference": p0.label,
-    }
-    details = {
-        "fidelity_by_order": {
-            str(order + 1): fid_all[:, order] for order in range(n)
-        },
-        "spread_by_order": {
-            str(order + 1): _spread(fid_all[:, order]) for order in range(n)
-        },
     }
     return TestReport(
         kind="CyclicFid",
@@ -501,14 +505,9 @@ def repetition_test(
     residual_norm = float(np.linalg.norm(residuals))
 
     if exact:
-        thr99 = LINEAR_RESIDUAL_TOL
+        thr95 = thr99 = LINEAR_RESIDUAL_TOL
         p_value = None
         slope_stderr = 0.0
-        verdict = (
-            Verdict.CONTEXT_DEPENDENT
-            if residual_norm > LINEAR_RESIDUAL_TOL
-            else Verdict.CONTEXT_INDEPENDENT
-        )
         statistic_for_threshold = residual_norm
     else:
         fitted = slope * x + intercept
@@ -522,15 +521,15 @@ def repetition_test(
         thr95, thr99 = np.percentile(null_chi2, [95.0, 99.0])
         p_value = float(np.mean(null_chi2 >= chi2))
         slope_stderr = float(np.std(null_slopes, ddof=1))
-        if chi2 > thr99:
-            verdict = Verdict.CONTEXT_DEPENDENT
-        elif chi2 > thr95:
-            verdict = Verdict.INCONCLUSIVE
-        else:
-            verdict = Verdict.CONTEXT_INDEPENDENT
         statistic_for_threshold = chi2
 
     increases = _find_increases(m_values, l_values, ci_low, ci_high)
+    details = {
+        "m_values": m_values,
+        "increases": increases,
+        "observed_statistic": statistic_for_threshold,
+    }
+    verdict = _verdict(statistic_for_threshold, thr95, thr99, details)
     summary = {
         "slope": slope,
         "intercept": intercept,
@@ -550,11 +549,7 @@ def repetition_test(
         summary=summary,
         ci_low=ci_low,
         ci_high=ci_high,
-        details={
-            "m_values": m_values,
-            "increases": increases,
-            "observed_statistic": statistic_for_threshold,
-        },
+        details=details,
     )
 
 

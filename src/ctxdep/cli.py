@@ -38,7 +38,7 @@ from .noise import (
     build_model,
 )
 
-__all__ = ["RunConfig", "parse_config", "load_config", "run_scenario", "main"]
+__all__ = ["RunConfig", "parse_config", "load_config", "validate", "run_scenario", "main"]
 
 logger = logging.getLogger(__name__)
 
@@ -150,6 +150,8 @@ def parse_gate_string(text: str) -> tuple[GateSpec, ...]:
     for token in text.split():
         if "*" in token:
             token, _, count = token.partition("*")
+            if not count.isdecimal():
+                raise ConfigError(f"repeat count must be a whole number: {token}*{count}")
             reps = int(count)
         else:
             reps = 1
@@ -180,11 +182,20 @@ def _parse_value(raw: str):
     return raw
 
 
+def _parse_shots(key: str, raw) -> int | None:
+    if raw == "exact":
+        return None
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
+        return raw
+    raise ConfigError(f"{key}: expected 'exact' or a positive integer, got {raw!r}")
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate the flat ``key = value`` config format.
+    """Parse the flat ``key = value`` config format.
 
     Unknown keys, malformed lines, and out-of-range values raise
-    :class:`ConfigError` naming the offending key.
+    :class:`ConfigError` naming the offending key.  Checks that involve
+    several keys run in :func:`validate`, once any CLI overrides are applied.
     """
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -201,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig()
 
-    def take_float(key, minimum=None, maximum=None, allow_none=False):
+    def take_float(key, minimum=None, maximum=None):
         if key not in values:
             return None
         v = values.pop(key)
@@ -249,13 +260,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("phi_values: values must be finite")
         cfg.phi_values = tuple(float(x) for x in raw)
     if "shots" in values:
-        raw = values.pop("shots")
-        if raw == "exact":
-            cfg.shots = None
-        elif isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-            cfg.shots = raw
-        else:
-            raise ConfigError(f"shots: expected 'exact' or a positive integer, got {raw!r}")
+        cfg.shots = _parse_shots("shots", values.pop("shots"))
     if "seed" in values:
         raw = values.pop("seed")
         if not isinstance(raw, int) or isinstance(raw, bool):
@@ -266,9 +271,13 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(raw, int) or raw < 100:
             raise ConfigError("bootstrap_resamples: expected an integer >= 100")
         cfg.bootstrap_resamples = raw
-    if "reference" in values:
-        raw = values.pop("reference")
-        cfg.reference = parse_gate_string(str(raw)) if raw else ()
+    for key in ("reference", "gates"):
+        if key in values:
+            raw = values.pop(key)
+            try:
+                setattr(cfg, key, parse_gate_string(str(raw)) if raw else ())
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
     if "output_dir" in values:
         cfg.output_dir = str(values.pop("output_dir"))
     if "family" in values:
@@ -276,8 +285,6 @@ def parse_config(text: str) -> RunConfig:
         if raw not in ("permutation", "cyclic", "repetition"):
             raise ConfigError(f"family: expected permutation|cyclic|repetition, got {raw!r}")
         cfg.family = raw
-    if "gates" in values:
-        cfg.gates = parse_gate_string(str(values.pop("gates")))
     if "n" in values:
         raw = values.pop("n")
         if not isinstance(raw, int) or raw < 1:
@@ -295,7 +302,18 @@ def parse_config(text: str) -> RunConfig:
         cfg.cyclic_order = raw
     if values:
         raise ConfigError(f"unknown keys: {', '.join(sorted(values))}")
+    return cfg
 
+
+def _phi_dir_name(phi: float) -> str:
+    return f"phi_{phi:g}"
+
+
+def validate(cfg: RunConfig) -> None:
+    """Checks that involve several keys; run once, after any CLI overrides."""
+    folders = [_phi_dir_name(phi) for phi in cfg.resolved_phi_values()]
+    if len(set(folders)) < len(folders):
+        raise ConfigError(f"phi_values: two values share an output folder in {folders}")
     if cfg.scenario == "custom":
         if cfg.family is None:
             raise ConfigError("custom scenario needs 'family'")
@@ -308,7 +326,6 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError("permutation family needs 'n'")
         if cfg.family == "repetition" and not cfg.m_values:
             raise ConfigError("repetition family needs 'm_values'")
-    return cfg
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -466,7 +483,7 @@ def run_scenario(cfg: RunConfig) -> int:
     any_dependent = False
     for phi in cfg.resolved_phi_values():
         model = build_model(cfg.noise_params(phi))
-        phi_dir = os.path.join(cfg.output_dir, f"phi_{phi:g}")
+        phi_dir = os.path.join(cfg.output_dir, _phi_dir_name(phi))
         os.makedirs(phi_dir, exist_ok=True)
         if cfg.scenario == "fig3b":
             families = [
@@ -504,16 +521,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.scenario:
         cfg.scenario = args.scenario
-        if cfg.scenario == "custom" and cfg.family is None:
-            raise ConfigError("custom scenario needs 'family' in the config file")
     if args.shots is not None:
-        if args.shots == "exact":
-            cfg.shots = None
-        else:
-            shots = int(args.shots)
-            if shots < 1:
-                raise ConfigError("--shots must be 'exact' or a positive integer")
-            cfg.shots = shots
+        cfg.shots = _parse_shots("--shots", _parse_value(args.shots))
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -529,12 +538,14 @@ def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command == "run":
+            cfg = _apply_overrides(cfg, args)
+        validate(cfg)
         if args.command == "validate":
             print(f"ok: scenario={cfg.scenario} shots="
                   f"{'exact' if cfg.shots is None else cfg.shots} "
                   f"phi_values={list(cfg.resolved_phi_values())} seed={cfg.seed}")
             return 0
-        cfg = _apply_overrides(cfg, args)
         return run_scenario(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

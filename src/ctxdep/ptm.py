@@ -17,10 +17,9 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +32,6 @@ __all__ = [
     "pauli_basis",
     "vectorize_state",
     "vectorize_effect",
-    "unvectorize",
     "ptm_of_map",
     "hamiltonian_generator",
     "dissipator_generator",
@@ -108,24 +106,20 @@ def pauli_basis(num_qubits: int) -> OperatorBasis:
     return OperatorBasis(dim=2**num_qubits, elements=tuple(elements))
 
 
+def _vec_columns(basis: OperatorBasis) -> np.ndarray:
+    """Change-of-basis matrix whose column ``m`` is the row-major ``vec(P_m)``."""
+    return np.stack([p.ravel() for p in basis.elements], axis=1)
+
+
 def vectorize_state(rho: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Expansion coordinates ``Tr(P_m rho) / sqrt(d)`` of a density operator."""
-    root_d = np.sqrt(basis.dim)
-    return np.array([np.trace(p @ rho).real for p in basis.elements]) / root_d
+    coords = _vec_columns(basis).conj().T @ np.ravel(rho)
+    return coords.real / np.sqrt(basis.dim)
 
 
 def vectorize_effect(effect: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Expansion coordinates ``Tr(P_n Pi) / sqrt(d)`` of a POVM effect."""
     return vectorize_state(effect, basis)
-
-
-def unvectorize(coords: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Inverse of :func:`vectorize_state`: rebuild the operator from coordinates."""
-    root_d = np.sqrt(basis.dim)
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for c, p in zip(coords, basis.elements):
-        out += (c / root_d) * p
-    return out
 
 
 def ptm_of_map(
@@ -154,28 +148,30 @@ def ptm_of_map(
     return out
 
 
+def _superop_to_ptm(superop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Transfer matrix ``V^+ L V / d`` of a superoperator ``L`` acting on ``vec(rho)``.
+
+    Entry ``(n, m)`` is ``Tr[P_n L(P_m)] / d``, checked for realness as in :func:`ptm_of_map`.
+    """
+    v = _vec_columns(basis)
+    out = v.conj().T @ superop @ v / basis.dim
+    worst = np.abs(out.imag).max()
+    if worst > 1e-9:
+        raise NonRealEntry(f"imaginary part {worst:.3e}: map does not preserve Hermiticity")
+    return out.real
+
+
 def hamiltonian_generator(hamiltonian: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Transfer-matrix generator of ``rho -> -i[H, rho]``.
 
-    The result is antisymmetric with an all-zero first row and column.
+    Closed form ``-i(H (x) I - I (x) H^T)`` on ``vec(rho)``.  The result is
+    antisymmetric with an all-zero first row and column.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if np.linalg.norm(h - h.conj().T) > 1e-12:
         raise NonHermitianInput("Hamiltonian must be Hermitian")
-    return ptm_of_map(lambda rho: -1j * (h @ rho - rho @ h), basis)
-
-
-def lindblad_dissipator_action(
-    rho: np.ndarray, jumps: Sequence[tuple[float, np.ndarray]]
-) -> np.ndarray:
-    """Apply ``sum_j rate_j (A rho A+ - {A+A, rho}/2)`` for jump operators A."""
-    out = np.zeros_like(rho)
-    for rate, op in jumps:
-        op_dag_op = op.conj().T @ op
-        out = out + rate * (
-            op @ rho @ op.conj().T - 0.5 * (op_dag_op @ rho + rho @ op_dag_op)
-        )
-    return out
+    eye = np.eye(basis.dim)
+    return _superop_to_ptm(-1j * (np.kron(h, eye) - np.kron(eye, h.T)), basis)
 
 
 def _embed(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
@@ -198,19 +194,23 @@ def dissipator_generator(
     ``gamma3``, and ``sigma_z`` at rate ``gamma_phi / 2``.  The dephasing
     prefactor is fixed so that x and y coherences contract at ``gamma_phi``
     each, which pins the single-qubit generator trace to
-    ``-2*(gamma1 + gamma3 + gamma_phi)``.
+    ``-2*(gamma1 + gamma3 + gamma_phi)``.  Closed form per jump operator
+    ``A``: ``A (x) A* - (A+A (x) I + I (x) (A+A)^T) / 2`` on ``vec(rho)``.
     """
     for name, rate in (("gamma1", gamma1), ("gamma3", gamma3), ("gamma_phi", gamma_phi)):
         if rate < 0:
             raise NegativeRate(f"{name} = {rate} must be >= 0")
     if basis is None:
         basis = pauli_basis(num_qubits)
-    jumps = []
+    eye = np.eye(basis.dim)
+    superop = np.zeros((basis.size, basis.size), dtype=complex)
     for q in range(num_qubits):
-        jumps.append((gamma1, _embed(LOWERING, q, num_qubits)))
-        jumps.append((gamma3, _embed(RAISING, q, num_qubits)))
-        jumps.append((gamma_phi / 2.0, _embed(PAULI_Z, q, num_qubits)))
-    return ptm_of_map(lambda rho: lindblad_dissipator_action(rho, jumps), basis)
+        for rate, local in ((gamma1, LOWERING), (gamma3, RAISING), (gamma_phi / 2.0, PAULI_Z)):
+            a = _embed(local, q, num_qubits)
+            a_dag_a = a.conj().T @ a
+            anticommutator = np.kron(a_dag_a, eye) + np.kron(eye, a_dag_a.T)
+            superop += rate * (np.kron(a, a.conj()) - 0.5 * anticommutator)
+    return _superop_to_ptm(superop, basis)
 
 
 def matexp(generator: np.ndarray) -> np.ndarray:
@@ -219,29 +219,19 @@ def matexp(generator: np.ndarray) -> np.ndarray:
 
 
 def log_abs_det(matrix: np.ndarray) -> float:
-    """``log|det M|`` as the sum of log-magnitudes of LU pivots.
-
-    Never forms the determinant itself, so products of many contractive
-    factors cannot underflow.  Returns ``-inf`` for an exactly singular
-    matrix instead of raising; callers decide how to treat that.
-    """
+    """``log|det M|`` of one square matrix, via :func:`log_abs_det_many`."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(m)
-    pivots = np.abs(np.diag(lu))
-    if np.any(pivots == 0.0):
-        return float("-inf")
-    return float(np.sum(np.log(pivots)))
+    return float(log_abs_det_many(m))
 
 
 def log_abs_det_many(matrices: np.ndarray) -> np.ndarray:
-    """Batched ``log|det|`` over a stack of square matrices.
+    """``log|det|`` of every matrix in a ``(..., n, n)`` stack, via ``slogdet``.
 
-    Same LU-based semantics as :func:`log_abs_det` (singular -> ``-inf``);
-    used in bootstrap loops where per-call overhead matters.
+    Never forms the determinant itself, so products of many contractive
+    factors cannot underflow.  An exactly singular matrix gives ``-inf``
+    instead of raising; callers decide how to treat that.
     """
     _, logdet = np.linalg.slogdet(np.asarray(matrices, dtype=float))
     return logdet
@@ -250,22 +240,25 @@ def log_abs_det_many(matrices: np.ndarray) -> np.ndarray:
 def trace_powers(matrix: np.ndarray, r_max: int | None = None) -> np.ndarray:
     """``[Tr(M), Tr(M^2), ..., Tr(M^r_max)]`` by repeated multiplication.
 
-    Defaults to ``r_max = M.shape[0]``: for an n x n matrix the first n
-    power traces determine the spectrum (Newton's identities), so two
-    matrices are cospectral iff all these values agree.  No eigensolver is
-    involved.
+    ``matrix`` may be one ``n x n`` matrix or a ``(..., n, n)`` stack; the
+    powers run along a new last axis.  Floating input keeps its dtype, so a
+    ``longdouble`` stack is multiplied in extended precision.  Defaults to
+    ``r_max = n``: the first n power traces determine the spectrum (Newton's
+    identities), so two matrices are cospectral iff all these values agree.
+    No eigensolver is involved.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix)
+    m = m.astype(np.result_type(m, np.float64), copy=False)
     if r_max is None:
-        r_max = m.shape[0]
+        r_max = m.shape[-1]
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    out = np.empty(r_max)
+    out = np.empty(m.shape[:-2] + (r_max,), dtype=m.dtype)
     acc = m
-    out[0] = np.trace(acc)
+    out[..., 0] = np.trace(acc, axis1=-2, axis2=-1)
     for r in range(1, r_max):
         acc = acc @ m
-        out[r] = np.trace(acc)
+        out[..., r] = np.trace(acc, axis1=-2, axis2=-1)
     return out
 
 
@@ -275,13 +268,12 @@ def choi_matrix(ptm: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     ``J = (1/d^2) sum_nm S_nm P_n (x) P_m^T``; the map is completely positive
     iff ``J`` is positive semidefinite.
     """
-    d2 = basis.size
-    out = np.zeros((basis.dim**2, basis.dim**2), dtype=complex)
-    for n in range(d2):
-        for m in range(d2):
-            if ptm[n, m] != 0.0:
-                out += ptm[n, m] * np.kron(basis.elements[n], basis.elements[m].T)
-    return out / d2
+    # V S V^T holds sum_nm S_nm P_n[a, b] P_m[e, c] at ((a, b), (e, c)); the
+    # Kronecker product wants it at ((a, c), (b, e)).
+    d = basis.dim
+    v = _vec_columns(basis)
+    w = (v @ ptm @ v.T).reshape(d, d, d, d)
+    return w.transpose(0, 3, 1, 2).reshape(basis.size, basis.size) / basis.size
 
 
 def spectrum_from_trace_powers(matrix: np.ndarray) -> np.ndarray:

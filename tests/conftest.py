@@ -60,6 +60,15 @@ def amplitude_damping_kraus(g: float):
     return [k0, k1]
 
 
+def lindblad_action(rho, jumps):
+    """Explicit ``sum_j rate_j (A rho A+ - {A+A, rho}/2)`` over ``(rate, A)`` pairs."""
+    out = np.zeros_like(rho, dtype=complex)
+    for rate, op in jumps:
+        op_dag_op = op.conj().T @ op
+        out = out + rate * (op @ rho @ op.conj().T - 0.5 * (op_dag_op @ rho + rho @ op_dag_op))
+    return out
+
+
 def integrate_master_equation(rho0, hamiltonian, jumps, duration=1.0):
     """Brute-force oracle: integrate drho/dt = -i[H,rho] + dissipator directly.
 
@@ -71,12 +80,7 @@ def integrate_master_equation(rho0, hamiltonian, jumps, duration=1.0):
 
     def rhs(_t, flat):
         rho = flat.reshape(dim, dim)
-        drho = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-        for rate, op in jumps:
-            op_dag_op = op.conj().T @ op
-            drho = drho + rate * (
-                op @ rho @ op.conj().T - 0.5 * (op_dag_op @ rho + rho @ op_dag_op)
-            )
+        drho = -1j * (hamiltonian @ rho - rho @ hamiltonian) + lindblad_action(rho, jumps)
         return drho.ravel()
 
     sol = solve_ivp(

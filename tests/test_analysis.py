@@ -176,6 +176,18 @@ class TestDetPermutationTest:
         report = det_permutation_test(tables, resamples=300, seed=22)
         assert report.verdict is Verdict.CONTEXT_DEPENDENT
 
+    def test_non_finite_null_is_inconclusive(self):
+        # at 10 shots some resampled tables are singular, their log-dets are
+        # -inf, and the centered bootstrap null turns NaN
+        model = build_model(make_params(phi=0.005))
+        family = permutation_family(GATE_IDLE, GATE_X_PI, 4)
+        tables = family_tables(family, model, shots=10, seed=1)
+        with np.errstate(invalid="ignore"):
+            report = det_permutation_test(tables, resamples=200, seed=1)
+        assert np.isnan(report.threshold)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert "threshold99" in report.details["inconclusive_reason"]
+
     def test_singular_member_flagged(self, baseline_model):
         table = prob_table(seq("ok", GATE_X_PI), baseline_model)
         broken = ProbabilityTable(np.zeros((4, 4)), None, "dead")

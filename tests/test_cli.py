@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from ctxdep.cli import (
     parse_gate_string,
     parse_gate_token,
     run_scenario,
+    validate,
 )
 
 
@@ -102,13 +106,26 @@ class TestParseConfig:
 
     def test_custom_requires_family_and_gates(self):
         with pytest.raises(ConfigError):
-            parse_config("scenario = custom")
+            validate(parse_config("scenario = custom"))
         with pytest.raises(ConfigError):
-            parse_config('scenario = custom\nfamily = repetition\ngates = "X_pi"')
+            validate(parse_config('scenario = custom\nfamily = repetition\ngates = "X_pi"'))
         cfg = parse_config(
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\nm_values = [0, 1, 2, 3]'
         )
+        validate(cfg)
         assert cfg.m_values == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("key", ["gates", "reference"])
+    def test_bad_repeat_count_names_key(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: .*X_pi\\*abc"):
+            parse_config(f'{key} = "X_pi*abc"')
+
+    def test_rejects_colliding_phi_folders(self):
+        # both angles print as 1e-07, so they would share the folder phi_1e-07
+        cfg = parse_config("phi_values = [1e-7, 1.0000001e-7]")
+        with pytest.raises(ConfigError, match="phi_1e-07"):
+            validate(cfg)
+        validate(parse_config("phi_values = [1e-7, 1.00001e-7]"))
 
     def test_reference_gate_string(self):
         cfg = parse_config('reference = "I I"')
@@ -217,6 +234,21 @@ class TestRunScenario:
         assert blobs[0] == blobs[1]
 
 
+def _traced_names():
+    # perfbench/trace_child.py wraps these attributes in place, so renaming or
+    # removing any of them breaks every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(target[0], target[1]) for target in module.TARGETS]
+
+
+@pytest.mark.parametrize("module_name,attr", _traced_names())
+def test_traced_layer_names_resolve(module_name, attr):
+    assert callable(getattr(importlib.import_module(module_name), attr))
+
+
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -232,6 +264,16 @@ class TestMain:
 
     def test_missing_file_is_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/run.cfg"]) == 1
+
+    @pytest.mark.parametrize("family", ["permutation", "cyclic", "repetition"])
+    def test_scenario_override_is_validated(self, tmp_path, capsys, family):
+        # the config is only incomplete once --scenario custom is applied
+        path = tmp_path / "run.cfg"
+        path.write_text(f"family = {family}\n")
+        status = main(["run", "--config", str(path), "--scenario", "custom",
+                       "--out", str(tmp_path / "out")])
+        assert status == 1
+        assert "gates" in capsys.readouterr().err
 
     def test_empty_custom_family_is_error(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

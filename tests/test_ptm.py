@@ -17,7 +17,14 @@ from ctxdep import (
 )
 from ctxdep.ptm import PAULI_X, PAULI_Z, log_abs_det_many
 
-from .conftest import amplitude_damping_kraus, apply_kraus, random_kraus_channel
+from .conftest import (
+    amplitude_damping_kraus,
+    apply_kraus,
+    lindblad_action,
+    make_params,
+    model_jump_operators,
+    random_kraus_channel,
+)
 
 
 def conjugation(u):
@@ -125,6 +132,19 @@ class TestHamiltonianGenerator:
         np.testing.assert_allclose(gen, -gen.T, atol=1e-9)
         np.testing.assert_allclose(gen[0], np.zeros(16), atol=1e-12)
 
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_matches_black_box_commutator(self, num_qubits):
+        basis = pauli_basis(num_qubits)
+        rng = np.random.default_rng(40 + num_qubits)
+        for _ in range(5):
+            shape = (basis.dim, basis.dim)
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            h = a + a.conj().T
+            oracle = ptm_of_map(lambda rho: -1j * (h @ rho - rho @ h), basis)
+            np.testing.assert_allclose(
+                hamiltonian_generator(h, basis), oracle, rtol=0, atol=1e-12
+            )
+
     def test_rejects_non_hermitian(self):
         basis = pauli_basis(1)
         with pytest.raises(NonHermitianInput):
@@ -186,6 +206,20 @@ class TestDissipatorGenerator:
         minus = log_abs_det(matexp((t - h) * d))
         slope = (plus - minus) / (2.0 * h)
         assert slope == pytest.approx(np.trace(d), rel=1e-8)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_matches_black_box_lindblad_action(self, num_qubits):
+        basis = pauli_basis(num_qubits)
+        rng = np.random.default_rng(50 + num_qubits)
+        for _ in range(5):
+            g1, g3, gphi = rng.uniform(0.0, 2.0, size=3)
+            jumps = model_jump_operators(
+                make_params(gamma1=g1, gamma3=g3, gamma_phi=gphi), num_qubits
+            )
+            oracle = ptm_of_map(lambda rho: lindblad_action(rho, jumps), basis)
+            np.testing.assert_allclose(
+                dissipator_generator(g1, g3, gphi, num_qubits, basis), oracle, rtol=0, atol=1e-12
+            )
 
     def test_rejects_negative_rate(self):
         with pytest.raises(NegativeRate):
@@ -278,6 +312,21 @@ class TestTracePowers:
         with pytest.raises(ValueError):
             trace_powers(np.eye(4), 0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_stack_matches_per_matrix_loop(self, dtype):
+        rng = np.random.default_rng(29)
+        stack = rng.normal(size=(2, 3, 4, 4)).astype(dtype)
+        got = trace_powers(stack)
+        assert got.shape == (2, 3, 4) and got.dtype == dtype
+        for idx in np.ndindex(2, 3):
+            m = stack[idx]
+            acc = m
+            expected = [np.trace(acc)]
+            for _ in range(3):
+                acc = acc @ m
+                expected.append(np.trace(acc))
+            np.testing.assert_array_equal(got[idx], np.array(expected, dtype=dtype))
+
 
 class TestDetLindIdentity:
     def test_hamiltonian_part_contributes_nothing(self):
@@ -310,6 +359,17 @@ class TestChoiAndSpectrum:
         basis = pauli_basis(1)
         ptm = ptm_of_map(lambda rho: rho.T, basis)
         assert np.linalg.eigvalsh(choi_matrix(ptm, basis)).min() < -0.4
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_choi_matches_kronecker_sum(self, num_qubits):
+        basis = pauli_basis(num_qubits)
+        ptm = np.random.default_rng(37).normal(size=(basis.size, basis.size))
+        expected = sum(
+            ptm[n, m] * np.kron(p_n, p_m.T)
+            for n, p_n in enumerate(basis.elements)
+            for m, p_m in enumerate(basis.elements)
+        ) / basis.size
+        np.testing.assert_allclose(choi_matrix(ptm, basis), expected, rtol=0, atol=1e-12)
 
     def test_spectrum_diagnostic(self):
         m = np.diag([1.0, -0.5, 0.25, 0.1])
