@@ -7,7 +7,8 @@ makes single-qubit gates history-dependent), :mod:`ctxdep.experiment`
 (sequence families and exact or finite-shot probability tables), and
 :mod:`ctxdep.analysis` (the permutation, cyclic, and repetition tests plus
 unitarity and divisibility measures).  :mod:`ctxdep.cli` drives preset
-scenarios from flat config files.
+scenarios from flat config files, which :mod:`ctxdep.config` parses and
+validates.
 """
 
 from .analysis import (

@@ -127,37 +127,48 @@ class TestReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-ready tree (schema documented in the README)."""
+        """JSON-ready tree (schema documented in the README).
 
-        def _clean(value):
+        Strict JSON has no NaN or infinity, so every non-finite float is
+        written as ``None`` and its path (``summary.threshold95``,
+        ``members[3].statistic``, ...) is listed under
+        ``details["non_finite"]``.
+        """
+        non_finite: list[str] = []
+
+        def _clean(value, path):
             if isinstance(value, np.ndarray):
-                return [_clean(v) for v in value.tolist()]
+                return _clean(value.tolist(), path)
             if isinstance(value, (np.floating, float)):
-                return float(value)
+                if math.isfinite(value):
+                    return float(value)
+                non_finite.append(path)
+                return None
             if isinstance(value, (np.integer, int)):
                 return int(value)
             if isinstance(value, dict):
-                return {str(k): _clean(v) for k, v in value.items()}
+                return {str(k): _clean(v, f"{path}.{k}") for k, v in value.items()}
             if isinstance(value, (list, tuple)):
-                return [_clean(v) for v in value]
+                return [_clean(v, f"{path}[{i}]") for i, v in enumerate(value)]
             return value
+
+        def _member(j, label):
+            columns = {"statistic": self.statistics, "ci_low": self.ci_low, "ci_high": self.ci_high}
+            out = {"label": label}
+            for name, values in columns.items():
+                out[name] = None if values is None else _clean(values[j], f"members[{j}].{name}")
+            return out
 
         out = {
             "kind": self.kind,
             "verdict": self.verdict.value,
-            "threshold": _clean(self.threshold),
-            "summary": _clean(self.summary),
-            "members": [
-                {
-                    "label": label,
-                    "statistic": _clean(self.statistics[j]),
-                    "ci_low": None if self.ci_low is None else _clean(self.ci_low[j]),
-                    "ci_high": None if self.ci_high is None else _clean(self.ci_high[j]),
-                }
-                for j, label in enumerate(self.member_labels)
-            ],
-            "details": _clean(self.details),
+            "threshold": _clean(self.threshold, "threshold"),
+            "summary": _clean(self.summary, "summary"),
+            "members": [_member(j, label) for j, label in enumerate(self.member_labels)],
+            "details": _clean(self.details, "details"),
         }
+        if non_finite:
+            out["details"]["non_finite"] = non_finite
         return out
 
 
@@ -230,9 +241,11 @@ def _null_spread_thresholds(boots: np.ndarray) -> tuple[float, float]:
     Bootstrap statistics are centered per member, which removes the observed
     member-to-member signal and leaves only shot noise.
     """
-    centered = boots - boots.mean(axis=1, keepdims=True)
-    null_spread = centered.max(axis=0) - centered.min(axis=0)
-    q95, q99 = np.percentile(null_spread, [95.0, 99.0])
+    # -inf bootstrap log-dets give NaN thresholds, which _verdict reports.
+    with np.errstate(invalid="ignore"):
+        centered = boots - boots.mean(axis=1, keepdims=True)
+        null_spread = centered.max(axis=0) - centered.min(axis=0)
+        q95, q99 = np.percentile(null_spread, [95.0, 99.0])
     return max(float(q95), EXACT_SPREAD_TOL), max(float(q99), EXACT_SPREAD_TOL)
 
 
@@ -241,12 +254,13 @@ def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verd
 
     A non-finite statistic or threshold (for instance a bootstrap null built
     from ``-inf`` log-determinants) supports no verdict: the result is
-    ``Inconclusive`` and the reason goes into ``details``.
+    ``Inconclusive`` and the reason goes into ``details``, unless the caller
+    already stated there why the values could not be computed.
     """
     values = {"statistic": observed, "threshold95": thr95, "threshold99": thr99}
     bad = [name for name, value in values.items() if not np.isfinite(value)]
     if bad:
-        details["inconclusive_reason"] = "non-finite " + ", ".join(bad)
+        details.setdefault("inconclusive_reason", "non-finite " + ", ".join(bad))
         return Verdict.INCONCLUSIVE
     if observed > thr99:
         return Verdict.CONTEXT_DEPENDENT
@@ -256,8 +270,9 @@ def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verd
 
 
 def _percentile_ci(boots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.percentile(boots, 2.5, axis=1)
-    hi = np.percentile(boots, 97.5, axis=1)
+    with np.errstate(invalid="ignore"):  # -inf draws give NaN bounds, written as null
+        lo = np.percentile(boots, 2.5, axis=1)
+        hi = np.percentile(boots, 97.5, axis=1)
     return lo, hi
 
 
@@ -496,39 +511,47 @@ def repetition_test(
         boots = np.stack(
             [log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables]
         ) - offset
-        sigma = boots.std(axis=1, ddof=1)
+        with np.errstate(invalid="ignore"):  # -inf draws: NaN weight, handled below
+            sigma = boots.std(axis=1, ddof=1)
         weights = 1.0 / np.maximum(sigma[good], 1e-12) ** 2
         ci_low, ci_high = _percentile_ci(boots)
 
     x, y = m_values[good], l_values[good]
-    slope, intercept, residuals, chi2 = _weighted_line_fit(x, y, weights)
-    residual_norm = float(np.linalg.norm(residuals))
-
-    if exact:
-        thr95 = thr99 = LINEAR_RESIDUAL_TOL
-        p_value = None
-        slope_stderr = 0.0
-        statistic_for_threshold = residual_norm
+    details: dict = {"m_values": m_values}
+    unweighted = [lbl for lbl, w in zip(np.array(labels)[good], weights) if not np.isfinite(w)]
+    p_value = None
+    if unweighted:
+        # A -inf bootstrap log-det makes sigma, and so the weight, NaN; no
+        # weighted fit or null can be formed from it.
+        details["inconclusive_reason"] = (
+            "non-finite bootstrap weight for " + ", ".join(unweighted)
+        )
+        slope = intercept = residual_norm = chi2 = slope_stderr = math.nan
+        statistic_for_threshold = thr95 = thr99 = math.nan
     else:
-        fitted = slope * x + intercept
-        centered = boots[good] - boots[good].mean(axis=1, keepdims=True)
-        null_chi2 = np.empty(centered.shape[1])
-        null_slopes = np.empty(centered.shape[1])
-        for b in range(centered.shape[1]):
-            s_b, _, _, c_b = _weighted_line_fit(x, fitted + centered[:, b], weights)
-            null_chi2[b] = c_b
-            null_slopes[b] = s_b
-        thr95, thr99 = np.percentile(null_chi2, [95.0, 99.0])
-        p_value = float(np.mean(null_chi2 >= chi2))
-        slope_stderr = float(np.std(null_slopes, ddof=1))
-        statistic_for_threshold = chi2
+        slope, intercept, residuals, chi2 = _weighted_line_fit(x, y, weights)
+        residual_norm = float(np.linalg.norm(residuals))
+        if exact:
+            thr95 = thr99 = LINEAR_RESIDUAL_TOL
+            slope_stderr = 0.0
+            statistic_for_threshold = residual_norm
+        else:
+            fitted = slope * x + intercept
+            centered = boots[good] - boots[good].mean(axis=1, keepdims=True)
+            null_chi2 = np.empty(centered.shape[1])
+            null_slopes = np.empty(centered.shape[1])
+            for b in range(centered.shape[1]):
+                s_b, _, _, c_b = _weighted_line_fit(x, fitted + centered[:, b], weights)
+                null_chi2[b] = c_b
+                null_slopes[b] = s_b
+            thr95, thr99 = np.percentile(null_chi2, [95.0, 99.0])
+            p_value = float(np.mean(null_chi2 >= chi2))
+            slope_stderr = float(np.std(null_slopes, ddof=1))
+            statistic_for_threshold = chi2
 
     increases = _find_increases(m_values, l_values, ci_low, ci_high)
-    details = {
-        "m_values": m_values,
-        "increases": increases,
-        "observed_statistic": statistic_for_threshold,
-    }
+    details["increases"] = increases
+    details["observed_statistic"] = statistic_for_threshold
     verdict = _verdict(statistic_for_threshold, thr95, thr99, details)
     summary = {
         "slope": slope,

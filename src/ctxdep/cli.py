@@ -8,9 +8,11 @@ Usage:
 
 The config is flat ``key = value`` text; see the README for the grammar and
 the full key list.  Outputs per coupling angle: raw tables (CSV), one JSON
-report per test, and a plot-ready CSV per test.  Exit status is 0 when every
-test is consistent with context-independence, 2 when any test returns a
-ContextDependent verdict, and 1 on errors.
+report per test, and a plot-ready CSV per test.  Exit status is 2 when any
+test returns a ContextDependent verdict, 1 on errors, and 0 otherwise, also
+when some verdicts are Inconclusive.  ``CTXDEP_LOG=info`` logs each coupling
+angle's stage wall times; ``debug`` also names the product path each family
+took.
 """
 
 from __future__ import annotations
@@ -18,23 +20,33 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+import time
 
 import numpy as np
 
 from . import analysis, experiment
+from .config import (  # also re-exported: `from ctxdep.cli import parse_config` works
+    SCENARIOS,
+    ConfigError,
+    RunConfig,
+    _parse_shots,
+    _parse_value,
+    _phi_dir_name,
+    load_config,
+    parse_config,
+    parse_gate_string,
+    parse_gate_token,
+    validate,
+)
 from .noise import (
     GATE_IDLE,
     GATE_X_HALF,
     GATE_X_MINUS_HALF,
     GATE_X_PI,
     GATE_Y_PI,
-    GateSpec,
-    NoiseParams,
     build_model,
 )
 
@@ -42,317 +54,33 @@ __all__ = ["RunConfig", "parse_config", "load_config", "validate", "run_scenario
 
 logger = logging.getLogger(__name__)
 
-SCENARIOS = ("fig2a", "fig2b", "fig3a", "fig3b", "custom")
-
 # Display grids for the repetition scenarios (composite blocks double the
 # per-member gate count, hence the shorter grid).
 FIG3A_M_VALUES = tuple(range(0, 501, 50))
 FIG3B_M_VALUES = tuple(range(0, 251, 25))
 
-DEFAULT_PHI = {
-    "fig2a": (0.0, 0.001, 0.005),
-    "fig2b": (0.0, 0.001, 0.005),
-    "fig3a": (0.0, 0.005, 0.01, 0.02),
-    "fig3b": (0.0, 0.005),
-    "custom": (0.0,),
-}
 
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
-
-
-@dataclass
-class RunConfig:
-    """Validated run settings; rates in 1/s, durations in s."""
-
-    scenario: str = "fig2a"
-    gamma1: float = 1.0 / 60e-6
-    gamma3: float | None = None  # default: gamma1 * (1 - p) / p
-    gamma_phi: float | None = None  # default: gamma1 / 2
-    p_ground: float = 0.92
-    eta: float = 0.95
-    t_gate: float = 20e-9
-    phi_values: tuple[float, ...] | None = None
-    shots: int | None = None  # None = exact
-    seed: int = 12345
-    bootstrap_resamples: int = 500
-    reference: tuple[GateSpec, ...] = ()
-    output_dir: str = "ctxdep-out"
-    family: str | None = None  # custom scenario: permutation|cyclic|repetition
-    gates: tuple[GateSpec, ...] = ()
-    n: int | None = None
-    m_values: tuple[int, ...] | None = None
-    cyclic_order: int = 2
-
-    def resolved_gamma3(self) -> float:
-        if self.gamma3 is not None:
-            return self.gamma3
-        if self.p_ground <= 0:
-            raise ConfigError("p = 0 needs an explicit gamma3")
-        return self.gamma1 * (1.0 - self.p_ground) / self.p_ground
-
-    def resolved_gamma_phi(self) -> float:
-        return self.gamma1 / 2.0 if self.gamma_phi is None else self.gamma_phi
-
-    def resolved_phi_values(self) -> tuple[float, ...]:
-        return self.phi_values if self.phi_values is not None else DEFAULT_PHI[self.scenario]
-
-    def noise_params(self, phi: float) -> NoiseParams:
-        return NoiseParams(
-            gamma1=self.gamma1,
-            gamma3=self.resolved_gamma3(),
-            gamma_phi=self.resolved_gamma_phi(),
-            coupling=phi / self.t_gate,
-            t_gate=self.t_gate,
-            p_ground=self.p_ground,
-            eta=self.eta,
-        )
-
-
-_GATE_TOKEN = re.compile(
-    r"^(?P<axis>[IXY])"
-    r"(?P<angle>_(?P<sign>-?)(?:(?P<num>\d*)pi(?:/(?P<den>\d+))?|(?P<rad>[0-9.eE+-]+)rad))?"
-    r"(?:@(?P<dur>\d+))?$"
-)
-
-
-def parse_gate_token(token: str) -> GateSpec:
-    """Parse one gate token: ``I``, ``X_pi``, ``Y_-pi/2``, ``X_0.7854rad``...
-
-    An optional ``@k`` suffix sets the duration multiplier.
-    """
-    match = _GATE_TOKEN.match(token)
-    if not match:
-        raise ConfigError(f"cannot parse gate token {token!r}")
-    parts = match.groupdict()
-    duration = int(parts["dur"]) if parts["dur"] else 1
-    if parts["axis"] == "I":
-        if parts["angle"] is not None:
-            raise ConfigError(f"idle gate takes no angle: {token!r}")
-        return GateSpec("I", 0.0, duration)
-    if parts["angle"] is None:
-        raise ConfigError(f"rotation gate needs an angle: {token!r}")
-    if parts["rad"] is not None:
-        angle = float(parts["rad"])
-    else:
-        if parts["den"] == "0":
-            raise ConfigError(f"zero denominator in gate token {token!r}")
-        angle = math.pi * float(parts["num"] or 1) / float(parts["den"] or 1)
-    if parts["sign"] == "-":
-        angle = -angle
-    return GateSpec(parts["axis"], angle, duration)
-
-
-def parse_gate_string(text: str) -> tuple[GateSpec, ...]:
-    """Whitespace-separated gate tokens with ``token*count`` repetition."""
-    gates: list[GateSpec] = []
-    for token in text.split():
-        if "*" in token:
-            token, _, count = token.partition("*")
-            if not count.isdecimal():
-                raise ConfigError(f"repeat count must be a whole number: {token}*{count}")
-            reps = int(count)
-        else:
-            reps = 1
-        gates.extend([parse_gate_token(token)] * reps)
-    return tuple(gates)
-
-
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(part) for part in inner.split(",")]
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
-def _parse_shots(key: str, raw) -> int | None:
-    if raw == "exact":
-        return None
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-        return raw
-    raise ConfigError(f"{key}: expected 'exact' or a positive integer, got {raw!r}")
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat ``key = value`` config format.
-
-    Unknown keys, malformed lines, and out-of-range values raise
-    :class:`ConfigError` naming the offending key.  Checks that involve
-    several keys run in :func:`validate`, once any CLI overrides are applied.
-    """
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(raw)
-
-    cfg = RunConfig()
-
-    def take_float(key, minimum=None, maximum=None):
-        if key not in values:
-            return None
-        v = values.pop(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{key}: expected a number, got {v!r}")
-        v = float(v)
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}")
-        if maximum is not None and v > maximum:
-            raise ConfigError(f"{key}: must be <= {maximum}")
-        return v
-
-    if "scenario" in values:
-        scenario = values.pop("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: expected one of {SCENARIOS}, got {scenario!r}")
-        cfg.scenario = scenario
-    for key, attr, lo in (
-        ("gamma1", "gamma1", 0.0),
-        ("gamma3", "gamma3", 0.0),
-        ("gamma_phi", "gamma_phi", 0.0),
-    ):
-        v = take_float(key, minimum=lo)
-        if v is not None:
-            setattr(cfg, attr, v)
-    if "t1_us" in values:  # convenience alias: gamma1 = 1 / (t1_us microseconds)
-        t1 = take_float("t1_us", minimum=1e-12)
-        cfg.gamma1 = 1.0 / (t1 * 1e-6)
-    v = take_float("p", minimum=0.0, maximum=1.0)
-    if v is not None:
-        cfg.p_ground = v
-    v = take_float("eta", minimum=1e-12, maximum=1.0)
-    if v is not None:
-        cfg.eta = v
-    v = take_float("t_gate", minimum=1e-15)
-    if v is not None:
-        cfg.t_gate = v
-    if "phi_values" in values:
-        raw = values.pop("phi_values")
-        if not isinstance(raw, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
-            raise ConfigError("phi_values: expected a list of numbers")
-        if not all(math.isfinite(float(x)) for x in raw):
-            raise ConfigError("phi_values: values must be finite")
-        cfg.phi_values = tuple(float(x) for x in raw)
-    if "shots" in values:
-        cfg.shots = _parse_shots("shots", values.pop("shots"))
-    if "seed" in values:
-        raw = values.pop("seed")
-        if not isinstance(raw, int) or isinstance(raw, bool):
-            raise ConfigError("seed: expected an integer")
-        cfg.seed = raw
-    if "bootstrap_resamples" in values:
-        raw = values.pop("bootstrap_resamples")
-        if not isinstance(raw, int) or raw < 100:
-            raise ConfigError("bootstrap_resamples: expected an integer >= 100")
-        cfg.bootstrap_resamples = raw
-    for key in ("reference", "gates"):
-        if key in values:
-            raw = values.pop(key)
-            try:
-                setattr(cfg, key, parse_gate_string(str(raw)) if raw else ())
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-    if "output_dir" in values:
-        cfg.output_dir = str(values.pop("output_dir"))
-    if "family" in values:
-        raw = values.pop("family")
-        if raw not in ("permutation", "cyclic", "repetition"):
-            raise ConfigError(f"family: expected permutation|cyclic|repetition, got {raw!r}")
-        cfg.family = raw
-    if "n" in values:
-        raw = values.pop("n")
-        if not isinstance(raw, int) or raw < 1:
-            raise ConfigError("n: expected a positive integer")
-        cfg.n = raw
-    if "m_values" in values:
-        raw = values.pop("m_values")
-        if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
-            raise ConfigError("m_values: expected a list of integers")
-        cfg.m_values = tuple(raw)
-    if "cyclic_order" in values:
-        raw = values.pop("cyclic_order")
-        if not isinstance(raw, int) or not 1 <= raw <= 4:
-            raise ConfigError("cyclic_order: expected an integer in 1..4")
-        cfg.cyclic_order = raw
-    if values:
-        raise ConfigError(f"unknown keys: {', '.join(sorted(values))}")
-    return cfg
-
-
-def _phi_dir_name(phi: float) -> str:
-    return f"phi_{phi:g}"
-
-
-def validate(cfg: RunConfig) -> None:
-    """Checks that involve several keys; run once, after any CLI overrides."""
-    folders = [_phi_dir_name(phi) for phi in cfg.resolved_phi_values()]
-    if len(set(folders)) < len(folders):
-        raise ConfigError(f"phi_values: two values share an output folder in {folders}")
-    if cfg.scenario == "custom":
-        if cfg.family is None:
-            raise ConfigError("custom scenario needs 'family'")
-        if not cfg.gates:
-            raise ConfigError("custom scenario needs a non-empty 'gates' list")
-        if cfg.family == "permutation":
-            if len(cfg.gates) != 2:
-                raise ConfigError("permutation family needs exactly 2 gates")
-            if cfg.n is None:
-                raise ConfigError("permutation family needs 'n'")
-        if cfg.family == "repetition" and not cfg.m_values:
-            raise ConfigError("repetition family needs 'm_values'")
-
-
-def load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return parse_config("")
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
-def _build_family(cfg: RunConfig) -> experiment.SequenceFamily:
+def _build_families(cfg: RunConfig) -> list[experiment.SequenceFamily]:
     if cfg.scenario == "fig2a":
-        return experiment.permutation_family(GATE_IDLE, GATE_X_PI, 250)
+        return [experiment.permutation_family(GATE_IDLE, GATE_X_PI, 250)]
     if cfg.scenario == "fig2b":
         base = experiment.Sequence(
             gates=(GATE_X_PI,) + (GATE_IDLE,) * 500, label="X_pi_I500"
         )
-        return experiment.cyclic_family(base)
+        return [experiment.cyclic_family(base)]
     if cfg.scenario == "fig3a":
-        return experiment.repetition_family([GATE_IDLE], FIG3A_M_VALUES)
-    if cfg.scenario == "custom":
-        if cfg.family == "permutation":
-            return experiment.permutation_family(cfg.gates[0], cfg.gates[1], cfg.n)
-        if cfg.family == "cyclic":
-            label = "".join(g.label for g in cfg.gates)
-            return experiment.cyclic_family(experiment.Sequence(cfg.gates, label))
-        return experiment.repetition_family(list(cfg.gates), cfg.m_values)
-    raise ConfigError(f"no single family for scenario {cfg.scenario}")
+        return [experiment.repetition_family([GATE_IDLE], FIG3A_M_VALUES)]
+    if cfg.scenario == "fig3b":
+        return [
+            experiment.repetition_family(list(block), FIG3B_M_VALUES)
+            for _, block in FIG3B_BLOCKS
+        ]
+    if cfg.family == "permutation":
+        return [experiment.permutation_family(cfg.gates[0], cfg.gates[1], cfg.n)]
+    if cfg.family == "cyclic":
+        label = "".join(g.label for g in cfg.gates)
+        return [experiment.cyclic_family(experiment.Sequence(cfg.gates, label))]
+    return [experiment.repetition_family(list(cfg.gates), cfg.m_values)]
 
 
 FIG3B_BLOCKS = (
@@ -381,7 +109,8 @@ def _emit_tables(tables, out_dir: str) -> None:
 
 
 def _emit_report(report: analysis.TestReport, path: str) -> None:
-    _write_atomic(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(path, text + "\n")
 
 
 def _emit_plot_csv(report: analysis.TestReport, phi: float, path: str, x_values=None) -> None:
@@ -404,21 +133,14 @@ def _reference_table(cfg: RunConfig, model) -> experiment.ProbabilityTable:
     return table
 
 
-def _run_family_tests(cfg: RunConfig, family, model, cal, phi, out_dir):
-    """Evaluate one family under one model; emit artifacts; return reports."""
-    tables = experiment.family_tables(family, model, shots=cfg.shots, seed=cfg.seed)
-    _emit_tables(tables, os.path.join(out_dir, "tables"))
-    reports = []
+def _family_reports(cfg: RunConfig, family, tables, p0, cal):
+    """Run the family's tests; return ``(artifact name, report, has plot)`` triples."""
     if family.kind == "permutation":
         report = analysis.det_permutation_test(
             tables, cal, resamples=cfg.bootstrap_resamples, seed=cfg.seed
         )
-        reports.append(report)
-        _emit_report(report, os.path.join(out_dir, "report_permdet.json"))
-        _emit_plot_csv(report, phi, os.path.join(out_dir, "plot_permdet.csv"))
-    elif family.kind == "cyclic":
-        p0 = _reference_table(cfg, model)
-        experiment.write_table_csv(p0, os.path.join(out_dir, "tables", "reference.csv"))
+        return [("permdet", report, True)]
+    if family.kind == "cyclic":
         report = analysis.cyclic_fidelity_test(
             tables,
             p0,
@@ -426,79 +148,98 @@ def _run_family_tests(cfg: RunConfig, family, model, cal, phi, out_dir):
             resamples=cfg.bootstrap_resamples,
             seed=cfg.seed,
         )
-        reports.append(report)
-        _emit_report(report, os.path.join(out_dir, "report_cyclicfid.json"))
-        _emit_plot_csv(report, phi, os.path.join(out_dir, "plot_cyclicfid.csv"))
-    else:
-        suffix = _sanitize(family.description.strip("()^m"))
-        report = analysis.repetition_test(
-            tables,
-            family.m_values,
-            cal,
-            resamples=cfg.bootstrap_resamples,
-            seed=cfg.seed,
-        )
-        reports.append(report)
-        _emit_report(report, os.path.join(out_dir, f"report_replinearity_{suffix}.json"))
-        _emit_plot_csv(
-            report,
-            phi,
-            os.path.join(out_dir, f"plot_replinearity_{suffix}.csv"),
-            x_values=family.m_values,
-        )
-        witness = analysis.cp_witness(
-            family.m_values, report.statistics, report.ci_low, report.ci_high
-        )
-        reports.append(witness)
-        _emit_report(witness, os.path.join(out_dir, f"report_cpwitness_{suffix}.json"))
-        # Accessible-volume series relative to the first member; descriptive
-        # output, not a hypothesis test, so the verdict slot stays neutral.
-        l0 = report.statistics[0]
-        volume = analysis.TestReport(
-            kind="Volume",
-            member_labels=report.member_labels,
-            statistics=np.exp(report.statistics - l0),
-            verdict=analysis.Verdict.CONTEXT_INDEPENDENT,
-            threshold=0.0,
-            summary={"normalized_to": report.member_labels[0]},
-        )
-        _emit_report(volume, os.path.join(out_dir, f"report_volume_{suffix}.json"))
-        _emit_plot_csv(
-            volume,
-            phi,
-            os.path.join(out_dir, f"plot_volume_{suffix}.csv"),
-            x_values=family.m_values,
-        )
-    return reports
+        return [("cyclicfid", report, True)]
+    suffix = _sanitize(family.description.strip("()^m"))
+    report = analysis.repetition_test(
+        tables,
+        family.m_values,
+        cal,
+        resamples=cfg.bootstrap_resamples,
+        seed=cfg.seed,
+    )
+    witness = analysis.cp_witness(
+        family.m_values, report.statistics, report.ci_low, report.ci_high
+    )
+    # Accessible-volume series relative to the first member; descriptive
+    # output, not a hypothesis test, so the verdict slot stays neutral.
+    l0 = report.statistics[0]
+    volume = analysis.TestReport(
+        kind="Volume",
+        member_labels=report.member_labels,
+        statistics=np.exp(report.statistics - l0),
+        verdict=analysis.Verdict.CONTEXT_INDEPENDENT,
+        threshold=0.0,
+        summary={"normalized_to": report.member_labels[0]},
+    )
+    return [
+        (f"replinearity_{suffix}", report, True),
+        (f"cpwitness_{suffix}", witness, False),
+        (f"volume_{suffix}", volume, True),
+    ]
+
+
+def _emit_family(family, tables, p0, outputs, phi, out_dir) -> None:
+    """Write one family's tables, reports and plot CSVs under ``out_dir``."""
+    _emit_tables(tables, os.path.join(out_dir, "tables"))
+    if p0 is not None:
+        experiment.write_table_csv(p0, os.path.join(out_dir, "tables", "reference.csv"))
+    for name, report, plotted in outputs:
+        _emit_report(report, os.path.join(out_dir, f"report_{name}.json"))
+        if plotted:
+            path = os.path.join(out_dir, f"plot_{name}.csv")
+            _emit_plot_csv(report, phi, path, x_values=family.m_values)
+
+
+STAGES = ("model build", "tables", "tests", "emit")
+
+
+def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict) -> list:
+    """Tables, tests and artifacts of one family under one model.
+
+    Adds each stage's wall time to ``stage_s``; returns the reports that
+    carry a verdict.
+    """
+    t0 = time.perf_counter()
+    tables = experiment.family_tables(family, model, shots=cfg.shots, seed=cfg.seed)
+    p0 = _reference_table(cfg, model) if family.kind == "cyclic" else None
+    t1 = time.perf_counter()
+    outputs = _family_reports(cfg, family, tables, p0, cal)
+    t2 = time.perf_counter()
+    _emit_family(family, tables, p0, outputs, phi, out_dir)
+    t3 = time.perf_counter()
+    stage_s["tables"] += t1 - t0
+    stage_s["tests"] += t2 - t1
+    stage_s["emit"] += t3 - t2
+    # the volume series is descriptive and carries no verdict
+    return [report for _, report, _ in outputs if report.kind != "Volume"]
 
 
 def run_scenario(cfg: RunConfig) -> int:
     """Execute every (phi, family) job of the configured scenario.
 
-    Returns the process exit status: 0 all clear, 2 if any test flags
-    context dependence.
+    Returns the process exit status: 2 if any test flags context
+    dependence, else 0 (``Inconclusive`` verdicts included).  Each phi's
+    stage wall times are logged at level INFO.
     """
     cal = analysis.ideal_calibration()
+    families = _build_families(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     any_dependent = False
     for phi in cfg.resolved_phi_values():
+        stage_s = dict.fromkeys(STAGES, 0.0)
+        t0 = time.perf_counter()
         model = build_model(cfg.noise_params(phi))
+        stage_s["model build"] = time.perf_counter() - t0
         phi_dir = os.path.join(cfg.output_dir, _phi_dir_name(phi))
         os.makedirs(phi_dir, exist_ok=True)
-        if cfg.scenario == "fig3b":
-            families = [
-                experiment.repetition_family(list(block), FIG3B_M_VALUES)
-                for _, block in FIG3B_BLOCKS
-            ]
-        else:
-            families = [_build_family(cfg)]
         for family in families:
-            reports = _run_family_tests(cfg, family, model, cal, phi, phi_dir)
-            for report in reports:
+            for report in _run_family(cfg, family, model, cal, phi, phi_dir, stage_s):
                 tag = f"phi={phi:g} {report.kind} [{family.description}]"
                 print(f"{tag}: {report.verdict.value}")
                 if report.verdict is analysis.Verdict.CONTEXT_DEPENDENT:
                     any_dependent = True
+        for stage in STAGES:
+            logger.info("phi=%g %s: %.3f s", phi, stage, stage_s[stage])
     return 2 if any_dependent else 0
 
 

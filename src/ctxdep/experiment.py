@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence as TypingSequence
 
@@ -35,6 +36,8 @@ __all__ = [
     "write_table_csv",
     "read_table_csv",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -225,14 +228,140 @@ def repetition_family(
     )
 
 
+def _permutation_entries(family: SequenceFamily, model: TwoQubitModel):
+    """Member tables of a :func:`permutation_family` layout, else ``None``.
+
+    Member ``j`` is ``a^(n-j) b^(n-j) (b a)^j``, whose product in time order
+    is ``(A B)^j C_(n-j)`` with ``C_i = B^i A^i = B C_(i-1) A``.  The
+    measurement-projected powers ``spam_out (A B)^j`` are stacked once (4 x 16
+    each); ``C_i`` is then stepped up while the members are written from the
+    last to the first.
+    """
+    members = family.members
+    n = len(members) - 1
+    if n < 1 or len(members[0]) != 2 * n:
+        return None
+    a, b = members[0].gates[0], members[0].gates[-1]
+    for j, seq in enumerate(members):
+        if seq.gates != (a,) * (n - j) + (b,) * (n - j) + (b, a) * j:
+            return None
+    gate_a, gate_b = model.gate_ptm(a), model.gate_ptm(b)
+    pair = gate_a @ gate_b
+    left = np.empty((n + 1,) + model.spam_out.shape)
+    left[0] = model.spam_out
+    for j in range(1, n + 1):
+        left[j] = left[j - 1] @ pair
+    entries = [None] * (n + 1)
+    inner = np.eye(model.basis.size)
+    for i in range(n + 1):
+        entries[n - i] = left[n - i] @ inner @ model.spam_in.T
+        inner = gate_b @ inner @ gate_a
+    return entries
+
+
+def _cyclic_entries(family: SequenceFamily, model: TwoQubitModel):
+    """Member tables of a :func:`cyclic_family` layout, else ``None``.
+
+    Rotation ``j`` of ``G_0 ... G_(L-1)`` starts at gate ``k = L - j``; its
+    product is ``prefix_k suffix_k`` with ``prefix_k = G_(k-1) ... G_0`` and
+    ``suffix_k = G_(L-1) ... G_k``.  The preparation-projected suffixes
+    ``suffix_k spam_in^T`` are stacked once (16 x 4 each); the prefix is then
+    stepped up while the members are written.
+    """
+    members = family.members
+    base = members[0].gates
+    length = len(base)
+    if len(members) != length:
+        return None
+    for j, seq in enumerate(members):
+        if seq.gates != base[length - j :] + base[: length - j]:
+            return None
+    gates = [model.gate_ptm(g) for g in base]
+    right = np.empty((length + 1,) + model.spam_in.T.shape)
+    right[length] = model.spam_in.T
+    suffix = np.eye(model.basis.size)
+    for k in range(length - 1, 0, -1):
+        suffix = suffix @ gates[k]
+        right[k] = suffix @ model.spam_in.T
+    entries = [None] * length
+    prefix = np.eye(model.basis.size)
+    for k in range(1, length + 1):
+        prefix = gates[k - 1] @ prefix
+        entries[length - k] = model.spam_out @ prefix @ right[k]
+    return entries
+
+
+def _repetition_entries(family: SequenceFamily, model: TwoQubitModel):
+    """Member tables of a :func:`repetition_family` layout, else ``None``.
+
+    The block's product is formed once and its power stepped along the
+    increasing ``m_values``; a step is recomputed only when its size changes.
+    """
+    members, ms = family.members, family.m_values
+    if ms is None or len(ms) != len(members) or ms[0] < 0:
+        return None
+    if any(later <= earlier for earlier, later in zip(ms, ms[1:])):
+        return None
+    top, top_gates = ms[-1], members[-1].gates
+    if top == 0:
+        block = ()
+    elif len(top_gates) % top:
+        return None
+    else:
+        block = top_gates[: len(top_gates) // top]
+    for m, seq in zip(ms, members):
+        if seq.gates != block * m:
+            return None
+    block_ptm = np.eye(model.basis.size)
+    for gate in block:
+        block_ptm = model.gate_ptm(gate) @ block_ptm
+    entries = []
+    power = np.eye(model.basis.size)
+    done, step, step_ptm = 0, 0, power
+    for m in ms:
+        if m - done != step:
+            step = m - done
+            step_ptm = np.linalg.matrix_power(block_ptm, step)
+        power = step_ptm @ power
+        done = m
+        entries.append(model.spam_out @ power @ model.spam_in.T)
+    return entries
+
+
+# Family layouts with a structured product, tried in order on the member
+# gate tuples themselves; ``kind`` and labels are not trusted.
+_LAYOUTS = (
+    ("permutation", _permutation_entries),
+    ("cyclic", _cyclic_entries),
+    ("repetition", _repetition_entries),
+)
+
+
 def family_tables(
     family: SequenceFamily,
     model: TwoQubitModel,
     shots: int | None = None,
     seed: int = 0,
 ) -> list[ProbabilityTable]:
-    """Tables for every member, sampled at ``shots`` unless exact is requested."""
-    tables = [prob_table(seq, model) for seq in family.members]
+    """Tables for every member, sampled at ``shots`` unless exact is requested.
+
+    Exact tables come from the family's structure when the members follow
+    the layout of :func:`permutation_family`, :func:`cyclic_family` or
+    :func:`repetition_family` (O(members) matrix products in all); any other
+    family is evaluated member by member with :func:`sequence_ptm`.
+    """
+    for name, layout in _LAYOUTS:
+        entries = layout(family, model) if family.members else None
+        if entries is not None:
+            logger.debug("%s: %s-shaped products", family.description, name)
+            tables = [
+                ProbabilityTable(entries=e, shots=None, label=seq.label)
+                for e, seq in zip(entries, family.members)
+            ]
+            break
+    else:
+        logger.debug("%s: per-member sequence_ptm", family.description)
+        tables = [prob_table(seq, model) for seq in family.members]
     if shots is None:
         return tables
     return [sample_table(t, shots, seed) for t in tables]

@@ -36,6 +36,8 @@ from ctxdep import (
     unitarity_u,
 )
 
+from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
+
 from .conftest import (
     GAMMA_SUM,
     T_GATE,
@@ -287,6 +289,20 @@ class TestRepetitionTest:
         with pytest.raises(ValueError):
             repetition_test(tables, family.m_values, ideal_calibration())
 
+    def test_non_finite_weight_is_inconclusive(self, baseline_model):
+        # at 10 shots a resampled table of the last member is singular; its
+        # -inf log-det turns sigma and the fit weight NaN, which must end
+        # in a verdict, not in an unconverged least-squares fit
+        family = repetition_family([GATE_IDLE], [0, 200, 400, 600])
+        tables = family_tables(family, baseline_model, shots=10, seed=0)
+        report = repetition_test(
+            tables, family.m_values, ideal_calibration(), resamples=100, seed=0
+        )
+        assert report.verdict is Verdict.INCONCLUSIVE
+        reason = report.details["inconclusive_reason"]
+        assert reason == "non-finite bootstrap weight for I_m0600"
+        assert np.isnan(report.threshold) and np.isnan(report.summary["slope"])
+
     def test_singular_member_excluded(self, baseline_model):
         family = repetition_family([GATE_X_PI], [0, 1, 2, 3, 4])
         tables = family_tables(family, baseline_model)
@@ -522,3 +538,28 @@ class TestReportSerialization:
         assert len(payload["members"]) == 5
         member = payload["members"][0]
         assert set(member) == {"label", "statistic", "ci_low", "ci_high"}
+        assert "non_finite" not in payload["details"]
+
+    def test_non_finite_values_become_null(self):
+        import json
+
+        report = Report(
+            kind="PermDet",
+            member_labels=["a", "b"],
+            statistics=np.array([-1.0, -np.inf]),
+            verdict=Verdict.INCONCLUSIVE,
+            threshold=float("nan"),
+            summary={"spread": np.nan, "mean": -1.0},
+            details={"fidelity_by_order": {"2": np.array([1.0, np.inf])}},
+        )
+        text = json.dumps(report.to_dict(), allow_nan=False)
+        payload = json.loads(text)
+        assert payload["threshold"] is None
+        assert payload["summary"] == {"spread": None, "mean": -1.0}
+        assert [m["statistic"] for m in payload["members"]] == [-1.0, None]
+        assert payload["details"]["non_finite"] == [
+            "threshold",
+            "summary.spread",
+            "members[1].statistic",
+            "details.fidelity_by_order.2[1]",
+        ]

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import logging
 import math
 import os
 from pathlib import Path
@@ -209,6 +210,49 @@ class TestRunScenario:
             os.path.join(cfg.output_dir, "phi_0", "tables", "perm001.csv")
         )
         assert table.shots == 20000
+
+    @pytest.mark.parametrize(
+        "family_lines,primary",
+        [
+            # NaN bootstrap thresholds from -inf resampled log-dets
+            ('family = permutation\ngates = "I X_pi"\nn = 4\nphi_values = [0.005]\n'
+             "seed = 1\nbootstrap_resamples = 200\n", "report_permdet.json"),
+            # a NaN fit weight, which used to end in an unconverged lstsq
+            ('family = repetition\ngates = "I"\nm_values = [0, 200, 400, 600]\n'
+             "phi_values = [0]\nseed = 0\nbootstrap_resamples = 100\n",
+             "report_replinearity_I.json"),
+        ],
+        ids=["permutation", "repetition"],
+    )
+    def test_low_shot_reports_are_strict_json(self, tmp_path, capsys, family_lines, primary):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = custom\nshots = 10\n" + family_lines)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        reports = {p.name: json.loads(p.read_text(), parse_constant=reject)
+                   for p in out.glob("phi_*/report_*.json")}
+        report = reports[primary]
+        assert report["verdict"] == "Inconclusive"
+        assert report["threshold"] is None
+        assert "threshold" in report["details"]["non_finite"]
+        assert report["details"]["inconclusive_reason"]
+
+    def test_info_log_names_stages(self, tmp_path, capsys, caplog):
+        text = 'scenario = custom\nfamily = cyclic\ngates = "X_pi I*5"\nphi_values = [0, 0.005]\n'
+        with caplog.at_level(logging.DEBUG, logger="ctxdep"):
+            self._run(tmp_path, text)
+        stages = [r.getMessage() for r in caplog.records if r.name == "ctxdep.cli"]
+        assert [m.split(":")[0] for m in stages] == [
+            f"phi={phi} {stage}"
+            for phi in ("0", "0.005")
+            for stage in ("model build", "tables", "tests", "emit")
+        ]
+        assert all(m.endswith(" s") for m in stages)
+        paths = [r.getMessage() for r in caplog.records if r.name == "ctxdep.experiment"]
+        assert paths == ["rotations of X_piIIIII: cyclic-shaped products"] * 2
 
     def test_outputs_byte_identical_across_runs(self, tmp_path):
         text = (

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from ctxdep import (
     GATE_X_PI,
     ProbabilityTable,
     Sequence,
+    SequenceFamily,
     build_model,
     cyclic_family,
+    experiment,
+    family_tables,
     log_abs_det,
     permutation_family,
     prob_table,
@@ -20,6 +25,7 @@ from ctxdep import (
     sequence_ptm,
     write_table_csv,
 )
+from ctxdep.cli import _build_families, parse_config
 from ctxdep.experiment import table_from_ptm
 
 from .conftest import GAMMA_SUM, T_GATE, make_params
@@ -225,3 +231,76 @@ class TestCsvRoundTrip:
         back = read_table_csv(path)
         assert back.shots == 12345
         assert np.array_equal(back.entries, table.entries)
+
+
+def _preset_cases():
+    cases = []
+    for scenario in ("fig2a", "fig2b", "fig3a", "fig3b"):
+        families = _build_families(parse_config(f"scenario = {scenario}"))
+        for j, family in enumerate(families):
+            name = scenario if len(families) == 1 else f"{scenario}-block{j}"
+            cases.append(pytest.param(family, family.kind, id=name))
+    return cases
+
+
+def _not_rotations():
+    members = (
+        seq("a", GATE_X_PI, GATE_IDLE, GATE_IDLE),
+        seq("b", GATE_IDLE, GATE_X_PI, GATE_X_PI),
+        seq("c", GATE_X_PI, GATE_X_PI, GATE_IDLE),
+    )
+    return SequenceFamily(members=members, kind="cyclic", description="not rotations")
+
+
+FAMILY_CASES = _preset_cases() + [
+    pytest.param(
+        repetition_family([GATE_X_HALF, GATE_IDLE], [3, 4, 9, 17]),
+        "repetition",
+        id="repetition-uneven-steps",
+    ),
+    pytest.param(
+        random_permutation_family(GATE_IDLE, GATE_X_PI, 10, count=6, seed=3),
+        None,
+        id="fallback-random-permutation",
+    ),
+    pytest.param(_not_rotations(), None, id="fallback-cyclic-not-rotations"),
+]
+
+
+@pytest.fixture(scope="module")
+def coupled_model():
+    return build_model(make_params(phi=0.005))
+
+
+@pytest.mark.parametrize("family,layout", FAMILY_CASES)
+def test_family_tables_match_per_member_oracle(
+    family, layout, coupled_model, monkeypatch, caplog
+):
+    """Family-shaped products agree with per-member ``prob_table``.
+
+    Families in a structured layout must not call ``sequence_ptm`` at all;
+    any other family is evaluated member by member.  Either way one debug
+    line names the path taken.
+    """
+    calls = []
+    oracle_ptm = experiment.sequence_ptm
+
+    def counting(sequence, model):
+        calls.append(sequence.label)
+        return oracle_ptm(sequence, model)
+
+    monkeypatch.setattr(experiment, "sequence_ptm", counting)
+    with caplog.at_level(logging.DEBUG, logger="ctxdep.experiment"):
+        tables = family_tables(family, coupled_model)
+    assert len(calls) == (0 if layout else len(family.members))
+    [record] = caplog.records
+    assert (f"{layout}-shaped" if layout else "per-member sequence_ptm") in record.getMessage()
+
+    assert [t.label for t in tables] == [m.label for m in family.members]
+    for table, member in zip(tables, family.members):
+        oracle = prob_table(member, coupled_model)
+        assert table.is_exact
+        np.testing.assert_allclose(table.entries, oracle.entries, rtol=0, atol=1e-12)
+        assert log_abs_det(table.entries) == pytest.approx(
+            log_abs_det(oracle.entries), abs=1e-12
+        )
