@@ -276,6 +276,10 @@ def _percentile_ci(boots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _bootstrap_details(boots: np.ndarray) -> dict:
+    return {"resamples": boots.shape[1], "non_finite_frac": float(np.mean(~np.isfinite(boots)))}
+
+
 def det_permutation_test(
     tables: list[ProbabilityTable],
     cal: CalibrationMatrices | None = None,
@@ -296,20 +300,15 @@ def det_permutation_test(
         logger.warning("singular tables flagged: %s", ", ".join(singular))
     observed = _spread(l_values)
 
-    exact = all(t.is_exact for t in tables)
+    details: dict = {"singular_members": singular}
     ci_low = ci_high = None
-    if exact:
+    if all(t.is_exact for t in tables):
         thr95 = thr99 = EXACT_SPREAD_TOL
     else:
-        boots = np.stack(
-            [
-                log_abs_det_many(resample_cells(t, resamples, seed))
-                for t in tables
-            ]
-        )
+        boots = np.stack([log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables])
         thr95, thr99 = _null_spread_thresholds(boots)
         ci_low, ci_high = _percentile_ci(boots)
-    details: dict = {"singular_members": singular}
+        details["bootstrap"] = _bootstrap_details(boots)
     verdict = _verdict(observed, thr95, thr99, details)
 
     summary = {
@@ -344,13 +343,6 @@ def _check_reference(p0: np.ndarray) -> None:
         )
 
 
-def _fidelities(stack: np.ndarray, p0_stack: np.ndarray, r_max: int) -> np.ndarray:
-    """Power-trace fidelities ``Tr[(P P0^-1)^r] / n`` for r = 1..r_max, batched."""
-    # M = P P0^{-1}  <=>  M^T = solve(P0^T, P^T)
-    m = np.linalg.solve(np.swapaxes(p0_stack, -1, -2), np.swapaxes(stack, -1, -2))
-    return trace_powers(np.swapaxes(m, -1, -2), r_max) / m.shape[-1]
-
-
 def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pivoted Gaussian elimination in extended precision.
 
@@ -380,12 +372,16 @@ def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
-    """Observed-statistic fidelities, solved and multiplied in extended precision."""
+    """Observed-statistic fidelities, solved and multiplied in extended precision.
+
+    One elimination solves ``P0^T M_j^T = P_j^T`` for all members at once;
+    column block ``j`` of the solution is ``M_j^T``.
+    """
     p0_t = np.asarray(p0_entries, dtype=float).T
-    m = np.stack(
-        [_solve_extended(p0_t, np.asarray(entries, dtype=float).T).T for entries in entries_list]
-    )
-    return trace_powers(m, r_max).astype(float) / p0_t.shape[0]
+    n = p0_t.shape[0]
+    rhs = np.concatenate([np.asarray(entries, dtype=float).T for entries in entries_list], axis=1)
+    m = _solve_extended(p0_t, rhs).reshape(n, -1, n).transpose(1, 2, 0)
+    return trace_powers(m, r_max).astype(float) / n
 
 
 def cyclic_fidelity_test(
@@ -413,28 +409,22 @@ def cyclic_fidelity_test(
     stat = fid_all[:, r - 1]
     observed = _spread(stat)
 
-    exact = all(t.is_exact for t in tables) and p0.is_exact
+    details = {
+        "fidelity_by_order": {str(order + 1): fid_all[:, order] for order in range(n)},
+        "spread_by_order": {str(order + 1): _spread(fid_all[:, order]) for order in range(n)},
+    }
     ci_low = ci_high = None
-    if exact:
+    if all(t.is_exact for t in tables) and p0.is_exact:
         thr95 = thr99 = EXACT_SPREAD_TOL
     else:
-        p0_draws = resample_cells(p0, resamples, seed)
-        boots = np.stack(
-            [
-                _fidelities(resample_cells(t, resamples, seed), p0_draws, r)[:, r - 1]
-                for t in tables
-            ]
-        )
+        # one inverse per reference draw, shared by every member
+        p0_inv = np.linalg.inv(resample_cells(p0, resamples, seed))
+        boots = np.empty((len(tables), resamples))
+        for j, t in enumerate(tables):
+            boots[j] = trace_powers(resample_cells(t, resamples, seed) @ p0_inv, r)[:, r - 1] / n
         thr95, thr99 = _null_spread_thresholds(boots)
         ci_low, ci_high = _percentile_ci(boots)
-    details = {
-        "fidelity_by_order": {
-            str(order + 1): fid_all[:, order] for order in range(n)
-        },
-        "spread_by_order": {
-            str(order + 1): _spread(fid_all[:, order]) for order in range(n)
-        },
-    }
+        details["bootstrap"] = _bootstrap_details(boots)
     verdict = _verdict(observed, thr95, thr99, details)
 
     summary = {
@@ -458,17 +448,17 @@ def cyclic_fidelity_test(
     )
 
 
-def _weighted_line_fit(
-    x: np.ndarray, y: np.ndarray, weights: np.ndarray
-) -> tuple[float, float, np.ndarray, float]:
-    """Weighted least-squares line fit; returns slope, intercept, residuals, chi2."""
+def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
+    """Weighted least-squares line fit; returns slope, intercept, residuals, chi2.
+
+    A 2-D ``y`` holds one series per column; all share one ``lstsq`` call.
+    """
     sw = np.sqrt(weights)
     design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    residuals = y - (slope * x + intercept)
-    chi2 = float(np.sum(weights * residuals**2))
-    return slope, intercept, residuals, chi2
+    coef, *_ = np.linalg.lstsq(design * sw[:, None], (y.T * sw).T, rcond=None)
+    residuals = y - design @ coef
+    chi2 = weights @ residuals**2
+    return coef[0], coef[1], residuals, chi2
 
 
 def repetition_test(
@@ -503,21 +493,20 @@ def repetition_test(
         )
 
     exact = all(t.is_exact for t in tables)
+    details: dict = {"m_values": m_values}
     ci_low = ci_high = None
-    boots = None
     if exact:
         weights = np.ones(good.sum())
     else:
-        boots = np.stack(
-            [log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables]
-        ) - offset
+        boots = np.stack([log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables])
+        boots -= offset
         with np.errstate(invalid="ignore"):  # -inf draws: NaN weight, handled below
             sigma = boots.std(axis=1, ddof=1)
         weights = 1.0 / np.maximum(sigma[good], 1e-12) ** 2
         ci_low, ci_high = _percentile_ci(boots)
+        details["bootstrap"] = _bootstrap_details(boots)
 
     x, y = m_values[good], l_values[good]
-    details: dict = {"m_values": m_values}
     unweighted = [lbl for lbl, w in zip(np.array(labels)[good], weights) if not np.isfinite(w)]
     p_value = None
     if unweighted:
@@ -530,20 +519,17 @@ def repetition_test(
         statistic_for_threshold = thr95 = thr99 = math.nan
     else:
         slope, intercept, residuals, chi2 = _weighted_line_fit(x, y, weights)
+        slope, intercept, chi2 = float(slope), float(intercept), float(chi2)
         residual_norm = float(np.linalg.norm(residuals))
         if exact:
             thr95 = thr99 = LINEAR_RESIDUAL_TOL
             slope_stderr = 0.0
             statistic_for_threshold = residual_norm
         else:
-            fitted = slope * x + intercept
+            # null series b: the fitted line plus centered draw b, all in one fit
+            fitted = (slope * x + intercept)[:, None]
             centered = boots[good] - boots[good].mean(axis=1, keepdims=True)
-            null_chi2 = np.empty(centered.shape[1])
-            null_slopes = np.empty(centered.shape[1])
-            for b in range(centered.shape[1]):
-                s_b, _, _, c_b = _weighted_line_fit(x, fitted + centered[:, b], weights)
-                null_chi2[b] = c_b
-                null_slopes[b] = s_b
+            null_slopes, _, _, null_chi2 = _weighted_line_fit(x, fitted + centered, weights)
             thr95, thr99 = np.percentile(null_chi2, [95.0, 99.0])
             p_value = float(np.mean(null_chi2 >= chi2))
             slope_stderr = float(np.std(null_slopes, ddof=1))

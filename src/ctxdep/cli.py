@@ -120,7 +120,7 @@ def _emit_plot_csv(report: analysis.TestReport, phi: float, path: str, x_values=
         lo = report.ci_low[j] if report.ci_low is not None else report.statistics[j]
         hi = report.ci_high[j] if report.ci_high is not None else report.statistics[j]
         lines.append(
-            f"{x},{report.statistics[j]!r},{float(lo)!r},{float(hi)!r},{phi!r}"
+            f"{x},{float(report.statistics[j])!r},{float(lo)!r},{float(hi)!r},{phi!r}"
         )
     _write_atomic(path, "\n".join(lines) + "\n")
 

@@ -37,6 +37,9 @@ from ctxdep import (
 )
 
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
+from ctxdep.analysis import _fidelities_observed, _solve_extended
+from ctxdep.experiment import resample_cells
+from ctxdep.ptm import log_abs_det_many
 
 from .conftest import (
     GAMMA_SUM,
@@ -189,6 +192,8 @@ class TestDetPermutationTest:
         assert np.isnan(report.threshold)
         assert report.verdict is Verdict.INCONCLUSIVE
         assert "threshold99" in report.details["inconclusive_reason"]
+        assert report.details["bootstrap"]["resamples"] == 200
+        assert 0 < report.details["bootstrap"]["non_finite_frac"] < 1
 
     def test_singular_member_flagged(self, baseline_model):
         table = prob_table(seq("ok", GATE_X_PI), baseline_model)
@@ -206,6 +211,7 @@ class TestCyclicFidelityTest:
         report = cyclic_fidelity_test(tables, p0, r=2)
         assert report.summary["spread"] < 1e-9
         assert report.verdict is Verdict.CONTEXT_INDEPENDENT
+        assert "bootstrap" not in report.details  # exact reports carry no diagnostics
         # every order is invariant, not just the requested one
         for order in "1234":
             assert report.details["spread_by_order"][order] < 1e-9
@@ -234,6 +240,45 @@ class TestCyclicFidelityTest:
         p0 = prob_table(seq("ref"), baseline_model)
         with pytest.raises(ValueError):
             cyclic_fidelity_test([p0], p0, r=5)
+
+    def test_shared_inverse_bootstrap_matches_per_member_solve(self, baseline_model):
+        """Bootstrap fidelities from one reference inverse per draw agree with
+        one solve per member and draw."""
+        base = seq("x_i20", GATE_X_PI, *([GATE_IDLE] * 20))
+        tables = family_tables(cyclic_family(base), baseline_model, shots=10**5, seed=8)
+        p0 = sample_table(prob_table(seq("ref"), baseline_model), 10**5, seed=8)
+        report = cyclic_fidelity_test(tables, p0, r=2, resamples=150, seed=8)
+
+        p0_draws_t = np.swapaxes(resample_cells(p0, 150, 8), -1, -2)
+        boots = np.empty((len(tables), 150))
+        for j, t in enumerate(tables):
+            # M = P P0^-1  <=>  M^T = solve(P0^T, P^T)
+            m = np.linalg.solve(p0_draws_t, np.swapaxes(resample_cells(t, 150, 8), -1, -2))
+            boots[j] = np.trace(m @ m, axis1=-2, axis2=-1) / 4
+        np.testing.assert_allclose(report.ci_low, np.percentile(boots, 2.5, axis=1), atol=1e-10)
+        np.testing.assert_allclose(report.ci_high, np.percentile(boots, 97.5, axis=1), atol=1e-10)
+        centered = boots - boots.mean(axis=1, keepdims=True)
+        null_spread = centered.max(axis=0) - centered.min(axis=0)
+        assert report.threshold == pytest.approx(np.percentile(null_spread, 99.0), abs=1e-10)
+        assert report.details["bootstrap"] == {"resamples": 150, "non_finite_frac": 0.0}
+
+    def test_singular_reference_draw_raises(self, baseline_model):
+        table = prob_table(seq("x", GATE_X_PI), baseline_model)
+        # one-shot draws of 0.5 I: a diagonal cell drawn 0 makes that draw singular
+        p0 = ProbabilityTable(np.eye(4) * 0.5, 1, "ref")
+        with pytest.raises(np.linalg.LinAlgError):
+            cyclic_fidelity_test([table], p0, r=2, resamples=10)
+
+    def test_batched_observed_fidelities_are_bit_identical(self):
+        model = build_model(make_params(phi=5e-3))
+        base = seq("x_i40", GATE_X_PI, *([GATE_IDLE] * 40))
+        tables = family_tables(cyclic_family(base), model, shots=10**4, seed=4)
+        p0 = prob_table(seq("ref"), model)
+        p0_t = p0.entries.T
+        per_member = np.stack([_solve_extended(p0_t, t.entries.T).T for t in tables])
+        expected = trace_powers(per_member, 4).astype(float) / 4
+        batched = _fidelities_observed([t.entries for t in tables], p0.entries, 4)
+        assert np.array_equal(batched, expected)
 
 
 class TestRepetitionTest:
@@ -290,18 +335,58 @@ class TestRepetitionTest:
             repetition_test(tables, family.m_values, ideal_calibration())
 
     def test_non_finite_weight_is_inconclusive(self, baseline_model):
-        # at 10 shots a resampled table of the last member is singular; its
-        # -inf log-det turns sigma and the fit weight NaN, which must end
-        # in a verdict, not in an unconverged least-squares fit
+        # at 10 shots some resampled tables are singular; their -inf log-dets
+        # turn sigma and the fit weight NaN, which must end in a verdict, not
+        # in an unconverged least-squares fit
         family = repetition_family([GATE_IDLE], [0, 200, 400, 600])
         tables = family_tables(family, baseline_model, shots=10, seed=0)
         report = repetition_test(
             tables, family.m_values, ideal_calibration(), resamples=100, seed=0
         )
+        # the members named are those with a -inf bootstrap log-det
+        expected = [
+            t.label for t in tables if np.isinf(log_abs_det_many(resample_cells(t, 100, 0))).any()
+        ]
+        assert expected
         assert report.verdict is Verdict.INCONCLUSIVE
         reason = report.details["inconclusive_reason"]
-        assert reason == "non-finite bootstrap weight for I_m0600"
+        assert reason == "non-finite bootstrap weight for " + ", ".join(expected)
         assert np.isnan(report.threshold) and np.isnan(report.summary["slope"])
+        assert report.details["bootstrap"]["non_finite_frac"] > 0
+
+    def test_batched_null_matches_per_draw_fits(self, baseline_model):
+        """The one-call null agrees with one weighted fit per bootstrap draw."""
+        family = repetition_family([GATE_X_PI], range(0, 61, 10))
+        tables = family_tables(family, baseline_model, shots=10**5, seed=5)
+        cal = ideal_calibration()
+        report = repetition_test(tables, family.m_values, cal, resamples=200, seed=5)
+
+        def line_fit(x, y, w):
+            sw = np.sqrt(w)
+            design = np.column_stack([x, np.ones_like(x)])
+            coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
+            return coef, np.sum(w * (y - design @ coef) ** 2)
+
+        x = np.asarray(family.m_values, dtype=float)
+        y = np.array([log_abs_det(t.entries) for t in tables]) - cal.log_abs_det
+        boots = np.stack(
+            [log_abs_det_many(resample_cells(t, 200, 5)) for t in tables]
+        ) - cal.log_abs_det
+        w = 1.0 / boots.std(axis=1, ddof=1) ** 2
+        (slope, intercept), chi2 = line_fit(x, y, w)
+        centered = boots - boots.mean(axis=1, keepdims=True)
+        fits = [line_fit(x, slope * x + intercept + centered[:, b], w) for b in range(200)]
+        null_slopes = np.array([coef[0] for coef, _ in fits])
+        null_chi2 = np.array([c for _, c in fits])
+
+        assert report.summary["slope"] == pytest.approx(slope, rel=1e-10)
+        assert report.summary["chi2"] == pytest.approx(chi2, rel=1e-10)
+        assert report.summary["slope_stderr"] == pytest.approx(
+            np.std(null_slopes, ddof=1), rel=1e-10
+        )
+        assert report.threshold == pytest.approx(np.percentile(null_chi2, 99.0), rel=1e-10)
+        assert report.summary["p_value"] == np.mean(null_chi2 >= chi2)
+        assert report.details["bootstrap"] == {"resamples": 200, "non_finite_frac": 0.0}
 
     def test_singular_member_excluded(self, baseline_model):
         family = repetition_family([GATE_X_PI], [0, 1, 2, 3, 4])

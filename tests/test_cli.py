@@ -240,6 +240,21 @@ class TestRunScenario:
         assert "threshold" in report["details"]["non_finite"]
         assert report["details"]["inconclusive_reason"]
 
+    @pytest.mark.parametrize("scenario", ["fig2a", "fig3a"])
+    def test_plot_csv_fields_are_numbers(self, tmp_path, capsys, scenario):
+        cfg, _ = self._run(tmp_path, f"scenario = {scenario}\nphi_values = [0.005]\n")
+        plots = sorted(Path(cfg.output_dir).glob("phi_*/plot_*.csv"))
+        assert plots
+        for plot in plots:
+            header, *rows = plot.read_text().splitlines()
+            assert header == "index,statistic,ci_low,ci_high,phi"
+            assert rows
+            for row in rows:
+                fields = row.split(",")
+                assert len(fields) == 5
+                for value in fields:
+                    float(value)  # raises on e.g. "np.float64(-2.6)"
+
     def test_info_log_names_stages(self, tmp_path, capsys, caplog):
         text = 'scenario = custom\nfamily = cyclic\ngates = "X_pi I*5"\nphi_values = [0, 0.005]\n'
         with caplog.at_level(logging.DEBUG, logger="ctxdep"):

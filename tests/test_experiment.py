@@ -26,7 +26,8 @@ from ctxdep import (
     write_table_csv,
 )
 from ctxdep.cli import _build_families, parse_config
-from ctxdep.experiment import table_from_ptm
+from ctxdep.experiment import resample_cells, table_from_ptm
+from ctxdep.rng import substream
 
 from .conftest import GAMMA_SUM, T_GATE, make_params
 
@@ -145,6 +146,63 @@ class TestSampleTable:
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError):
             sample_table(self._table([[1.5]]), shots=10, seed=0)
+
+
+class TestSamplingContract:
+    """One substream per table: order-independent, tag-separated draws."""
+
+    SHOTS = 500
+
+    @pytest.fixture(scope="class")
+    def tables(self, baseline_model):
+        base = seq("base", GATE_X_PI, GATE_IDLE, GATE_X_HALF)
+        return family_tables(cyclic_family(base), baseline_model)
+
+    def _draw(self, tables, order):
+        out = {}
+        for j in order:
+            sampled = sample_table(tables[j], self.SHOTS, seed=11)
+            out[sampled.label] = (sampled.entries, resample_cells(sampled, 40, seed=11))
+        return out
+
+    def test_draws_do_not_depend_on_order(self, tables):
+        forward = self._draw(tables, [0, 1, 2])
+        for order in ([2, 1, 0], [1], [2, 0, 1]):
+            for label, (entries, boots) in self._draw(tables, order).items():
+                assert np.array_equal(entries, forward[label][0])
+                assert np.array_equal(boots, forward[label][1])
+
+    def test_table_is_one_draw_from_its_substream(self, tables):
+        sampled = sample_table(tables[0], self.SHOTS, seed=11)
+        gen = substream(11, "cell", tables[0].label)
+        expected = gen.binomial(self.SHOTS, np.clip(tables[0].entries, 0.0, 1.0)) / self.SHOTS
+        assert np.array_equal(sampled.entries, expected)
+
+    def test_tags_and_labels_give_different_draws(self, tables):
+        sampled = sample_table(tables[0], self.SHOTS, seed=11)
+        boot = resample_cells(sampled, 40, seed=11)
+        assert not np.array_equal(boot, resample_cells(sampled, 40, seed=11, tag="ci"))
+        relabeled = ProbabilityTable(sampled.entries, self.SHOTS, "other")
+        assert not np.array_equal(boot, resample_cells(relabeled, 40, seed=11))
+
+    def test_resamples_are_frequency_multiples(self, tables):
+        sampled = sample_table(tables[1], self.SHOTS, seed=11)
+        counts = resample_cells(sampled, 40, seed=11) * self.SHOTS
+        np.testing.assert_allclose(np.round(counts), counts, atol=1e-9)
+
+    def test_one_substream_per_call(self, tables, monkeypatch):
+        calls = []
+        original = experiment.substream
+
+        def counting(seed, *tags):
+            calls.append(tags)
+            return original(seed, *tags)
+
+        monkeypatch.setattr(experiment, "substream", counting)
+        sampled = sample_table(tables[0], self.SHOTS, seed=11)
+        assert len(calls) == 1
+        resample_cells(sampled, 40, seed=11)
+        assert len(calls) == 2
 
 
 class TestFamilies:
