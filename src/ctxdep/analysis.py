@@ -417,8 +417,16 @@ def cyclic_fidelity_test(
     if all(t.is_exact for t in tables) and p0.is_exact:
         thr95 = thr99 = EXACT_SPREAD_TOL
     else:
-        # one inverse per reference draw, shared by every member
-        p0_inv = np.linalg.inv(resample_cells(p0, resamples, seed))
+        # one inverse per reference draw, shared by every member; a singular
+        # draw has none and leaves NaN statistics, which _verdict reports
+        p0_draws = resample_cells(p0, resamples, seed)
+        regular = np.isfinite(log_abs_det_many(p0_draws))
+        p0_inv = np.full_like(p0_draws, np.nan)
+        p0_inv[regular] = np.linalg.inv(p0_draws[regular])
+        if not regular.all():
+            details["inconclusive_reason"] = "singular reference draws: " + ", ".join(
+                map(str, np.flatnonzero(~regular))
+            )
         boots = np.empty((len(tables), resamples))
         for j, t in enumerate(tables):
             boots[j] = trace_powers(resample_cells(t, resamples, seed) @ p0_inv, r)[:, r - 1] / n
@@ -546,6 +554,8 @@ def repetition_test(
         "residual_norm": residual_norm,
         "chi2": chi2,
         "p_value": p_value,
+        "threshold95": float(thr95),
+        "threshold99": float(thr99),
         "n_excluded": int((~good).sum()),
         "n_increases": len(increases),
     }

@@ -36,8 +36,10 @@ from ctxdep import (
     unitarity_u,
 )
 
+from ctxdep import analysis
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
 from ctxdep.analysis import _fidelities_observed, _solve_extended
+from ctxdep.cli import FIG3A_M_VALUES
 from ctxdep.experiment import resample_cells
 from ctxdep.ptm import log_abs_det_many
 
@@ -262,12 +264,35 @@ class TestCyclicFidelityTest:
         assert report.threshold == pytest.approx(np.percentile(null_spread, 99.0), abs=1e-10)
         assert report.details["bootstrap"] == {"resamples": 150, "non_finite_frac": 0.0}
 
-    def test_singular_reference_draw_raises(self, baseline_model):
-        table = prob_table(seq("x", GATE_X_PI), baseline_model)
+    def test_singular_reference_draw_is_inconclusive(self, baseline_model, monkeypatch):
+        tables = [prob_table(seq(lbl, GATE_X_PI, *g), baseline_model)
+                  for lbl, g in (("x", ()), ("xi", (GATE_IDLE,)))]
         # one-shot draws of 0.5 I: a diagonal cell drawn 0 makes that draw singular
         p0 = ProbabilityTable(np.eye(4) * 0.5, 1, "ref")
-        with pytest.raises(np.linalg.LinAlgError):
-            cyclic_fidelity_test([table], p0, r=2, resamples=10)
+        recorded = []
+        null_thresholds = analysis._null_spread_thresholds
+
+        def record(boots):
+            recorded.append(boots)
+            return null_thresholds(boots)
+
+        monkeypatch.setattr(analysis, "_null_spread_thresholds", record)
+        report = cyclic_fidelity_test(tables, p0, r=2, resamples=100, seed=3)
+
+        p0_draws = resample_cells(p0, 100, 3)
+        singular = ~np.isfinite(log_abs_det_many(p0_draws))
+        assert 0 < singular.sum() < 100
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == "singular reference draws: " + ", ".join(
+            str(b) for b in np.flatnonzero(singular)
+        )
+        assert report.details["bootstrap"]["non_finite_frac"] == singular.mean()
+        # regular draws keep their values; singular ones give NaN statistics
+        (boots,) = recorded
+        assert np.isnan(boots[:, singular]).all()
+        for j, t in enumerate(tables):
+            m = resample_cells(t, 100, 3)[~singular] @ np.linalg.inv(p0_draws[~singular])
+            assert np.array_equal(boots[j, ~singular], trace_powers(m, 2)[:, 1] / 4)
 
     def test_batched_observed_fidelities_are_bit_identical(self):
         model = build_model(make_params(phi=5e-3))
@@ -387,6 +412,21 @@ class TestRepetitionTest:
         assert report.threshold == pytest.approx(np.percentile(null_chi2, 99.0), rel=1e-10)
         assert report.summary["p_value"] == np.mean(null_chi2 >= chi2)
         assert report.details["bootstrap"] == {"resamples": 200, "non_finite_frac": 0.0}
+
+    @pytest.mark.parametrize("phi", [0.0, 0.005])
+    def test_summary_thresholds_bracket_verdict(self, phi):
+        # sampled fig3a: repeated idles at 1e5 shots
+        family = repetition_family([GATE_IDLE], FIG3A_M_VALUES)
+        tables = family_tables(family, build_model(make_params(phi=phi)), shots=10**5, seed=1)
+        report = repetition_test(tables, family.m_values, ideal_calibration(), resamples=200)
+        chi2, thr95, thr99 = (report.summary[k] for k in ("chi2", "threshold95", "threshold99"))
+        assert thr95 <= thr99 == report.threshold
+        if chi2 > thr99:
+            assert report.verdict is Verdict.CONTEXT_DEPENDENT
+        elif chi2 > thr95:
+            assert report.verdict is Verdict.INCONCLUSIVE
+        else:
+            assert report.verdict is Verdict.CONTEXT_INDEPENDENT
 
     def test_singular_member_excluded(self, baseline_model):
         family = repetition_family([GATE_X_PI], [0, 1, 2, 3, 4])

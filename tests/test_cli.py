@@ -221,8 +221,11 @@ class TestRunScenario:
             ('family = repetition\ngates = "I"\nm_values = [0, 200, 400, 600]\n'
              "phi_values = [0]\nseed = 0\nbootstrap_resamples = 100\n",
              "report_replinearity_I.json"),
+            # a singular reference draw, which used to abort the run in inv()
+            ('family = cyclic\ngates = "X_pi I*5"\nphi_values = [0]\n'
+             "bootstrap_resamples = 100\n", "report_cyclicfid.json"),
         ],
-        ids=["permutation", "repetition"],
+        ids=["permutation", "repetition", "cyclic"],
     )
     def test_low_shot_reports_are_strict_json(self, tmp_path, capsys, family_lines, primary):
         def reject(constant):

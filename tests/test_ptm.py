@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import ctxdep.noise
 from ctxdep import (
     NegativeRate,
     NonHermitianInput,
     NonRealEntry,
+    build_model,
     choi_matrix,
     dissipator_generator,
     hamiltonian_generator,
@@ -241,6 +248,51 @@ class TestMatexp:
             g = rng.normal(size=(16, 16))
             g /= max(1.0, np.linalg.norm(g, 2))
             np.testing.assert_allclose(matexp(g) @ matexp(-g), np.eye(16), atol=1e-10)
+
+    @staticmethod
+    def assert_matches_scipy(g):
+        expected = scipy.linalg.expm(g)
+        assert np.abs(matexp(g) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    # 1-norms on both sides of theta_13 = 5.37, below which no squaring happens
+    @pytest.mark.parametrize("norm", [0.0, 1e-4, 1.0, 5.0, 50.0])
+    def test_matches_scipy_on_random_generators(self, norm):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            g = rng.normal(size=(16, 16))
+            g *= norm / np.linalg.norm(g, 1)
+            self.assert_matches_scipy(g)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.005, 0.03])
+    def test_matches_scipy_on_model_gates(self, phi, monkeypatch):
+        generators = []
+
+        def recording(generator):
+            generators.append(generator)
+            return matexp(generator)
+
+        monkeypatch.setattr(ctxdep.noise, "matexp", recording)
+        model = build_model(make_params(phi=phi))
+        assert len(generators) == len(model._gate_cache) > 0
+        for g in generators:
+            self.assert_matches_scipy(g)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            matexp(np.full((4, 4), np.nan))
+
+    def test_cli_import_loads_no_scipy(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, ctxdep.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestLogAbsDet:
