@@ -15,7 +15,6 @@ from .analysis import (
     CalibrationMatrices,
     IllConditioned,
     NotTracePreserving,
-    RawEstimate,
     SingularReference,
     TestReport,
     Verdict,
@@ -78,7 +77,6 @@ from .ptm import (
     matexp,
     pauli_basis,
     ptm_of_map,
-    spectrum_from_trace_powers,
     trace_powers,
     vectorize_effect,
     vectorize_state,

@@ -42,7 +42,6 @@ __all__ = [
     "SingularReference",
     "Verdict",
     "CalibrationMatrices",
-    "RawEstimate",
     "TestReport",
     "ideal_calibration",
     "calibration_from_states_effects",
@@ -104,14 +103,6 @@ class CalibrationMatrices:
         return log_abs_det(self.b) + log_abs_det(self.c)
 
 
-@dataclass(frozen=True)
-class RawEstimate:
-    """Uncorrected tomographic estimate ``(B^-1)^T P C^-1`` of a sequence."""
-
-    matrix: np.ndarray
-    label: str
-
-
 @dataclass
 class TestReport:
     """Result of one context test over a sequence family."""
@@ -119,8 +110,8 @@ class TestReport:
     kind: str  # PermDet | CyclicFid | RepLinearity | Volume | CPWitness
     member_labels: list[str]
     statistics: np.ndarray
-    verdict: Verdict
-    threshold: float
+    verdict: Verdict | None  # None for a descriptive series such as Volume
+    threshold: float | None
     summary: dict
     ci_low: np.ndarray | None = None
     ci_high: np.ndarray | None = None
@@ -161,7 +152,7 @@ class TestReport:
 
         out = {
             "kind": self.kind,
-            "verdict": self.verdict.value,
+            "verdict": None if self.verdict is None else self.verdict.value,
             "threshold": _clean(self.threshold, "threshold"),
             "summary": _clean(self.summary, "summary"),
             "members": [_member(j, label) for j, label in enumerate(self.member_labels)],
@@ -219,13 +210,12 @@ def ideal_calibration() -> CalibrationMatrices:
     return calibration_from_states_effects(states, effects)
 
 
-def raw_estimate(table: ProbabilityTable, cal: CalibrationMatrices) -> RawEstimate:
-    """``(B^-1)^T P C^-1`` computed via linear solves, never explicit inverses."""
+def raw_estimate(table: ProbabilityTable, cal: CalibrationMatrices) -> np.ndarray:
+    """Uncorrected estimate ``(B^-1)^T P C^-1``, via linear solves, never inverses."""
     if cal.cond_b > CONDITION_LIMIT or cal.cond_c > CONDITION_LIMIT:
         raise IllConditioned("calibration matrices too ill-conditioned")
     x = np.linalg.solve(cal.b.T, np.asarray(table.entries, dtype=float))
-    raw = np.linalg.solve(cal.c.T, x.T).T
-    return RawEstimate(matrix=raw, label=table.label)
+    return np.linalg.solve(cal.c.T, x.T).T
 
 
 def _spread(values: np.ndarray) -> float:

@@ -32,13 +32,12 @@ from .config import (  # also re-exported: `from ctxdep.cli import parse_config`
     SCENARIOS,
     ConfigError,
     RunConfig,
-    _parse_shots,
-    _parse_value,
     _phi_dir_name,
     load_config,
     parse_config,
     parse_gate_string,
     parse_gate_token,
+    set_key,
     validate,
 )
 from .noise import (
@@ -161,14 +160,14 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal):
         family.m_values, report.statistics, report.ci_low, report.ci_high
     )
     # Accessible-volume series relative to the first member; descriptive
-    # output, not a hypothesis test, so the verdict slot stays neutral.
+    # output, not a hypothesis test, so it carries no verdict or threshold.
     l0 = report.statistics[0]
     volume = analysis.TestReport(
         kind="Volume",
         member_labels=report.member_labels,
         statistics=np.exp(report.statistics - l0),
-        verdict=analysis.Verdict.CONTEXT_INDEPENDENT,
-        threshold=0.0,
+        verdict=None,
+        threshold=None,
         summary={"normalized_to": report.member_labels[0]},
     )
     return [
@@ -180,9 +179,7 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal):
 
 def _emit_family(family, tables, p0, outputs, phi, out_dir) -> None:
     """Write one family's tables, reports and plot CSVs under ``out_dir``."""
-    _emit_tables(tables, os.path.join(out_dir, "tables"))
-    if p0 is not None:
-        experiment.write_table_csv(p0, os.path.join(out_dir, "tables", "reference.csv"))
+    _emit_tables(tables if p0 is None else [*tables, p0], os.path.join(out_dir, "tables"))
     for name, report, plotted in outputs:
         _emit_report(report, os.path.join(out_dir, f"report_{name}.json"))
         if plotted:
@@ -197,7 +194,7 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict)
     """Tables, tests and artifacts of one family under one model.
 
     Adds each stage's wall time to ``stage_s``; returns the reports that
-    carry a verdict.
+    carry a verdict (descriptive ones, such as the volume series, do not).
     """
     t0 = time.perf_counter()
     tables = experiment.family_tables(family, model, shots=cfg.shots, seed=cfg.seed)
@@ -210,8 +207,7 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict)
     stage_s["tables"] += t1 - t0
     stage_s["tests"] += t2 - t1
     stage_s["emit"] += t3 - t2
-    # the volume series is descriptive and carries no verdict
-    return [report for _, report, _ in outputs if report.kind != "Volume"]
+    return [report for _, report, _ in outputs if report.verdict is not None]
 
 
 def run_scenario(cfg: RunConfig) -> int:
@@ -243,6 +239,11 @@ def run_scenario(cfg: RunConfig) -> int:
     return 2 if any_dependent else 0
 
 
+# (flag, config key): each flag overrides its key through the same table row
+OVERRIDES = (("--scenario", "scenario"), ("--shots", "shots"), ("--seed", "seed"),
+             ("--out", "output_dir"))
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxdep", description="context-dependence tests for gate sequences"
@@ -250,25 +251,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a scenario and write artifacts")
     run_p.add_argument("--config", help="path to a flat key = value config file")
-    run_p.add_argument("--scenario", choices=SCENARIOS)
-    run_p.add_argument("--shots", help="'exact' or a positive integer")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--out", help="output directory")
+    for flag, key in OVERRIDES:
+        run_p.add_argument(flag, dest=key, help=f"overrides the config key {key}")
     val_p = sub.add_parser("validate", help="parse and validate a config file")
     val_p.add_argument("--config", help="path to a flat key = value config file")
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.scenario:
-        cfg.scenario = args.scenario
-    if args.shots is not None:
-        cfg.shots = _parse_shots("--shots", _parse_value(args.shots))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = args.out
-    return cfg
+def _apply_overrides(cfg: RunConfig, args) -> None:
+    for flag, key in OVERRIDES:
+        if getattr(args, key) is not None:
+            set_key(cfg, key, getattr(args, key), flag)
 
 
 def main(argv=None) -> int:
@@ -276,11 +269,14 @@ def main(argv=None) -> int:
         level=getattr(logging, os.environ.get("CTXDEP_LOG", "WARNING").upper(), logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    args = _build_arg_parser().parse_args(argv)
+    try:
+        args = _build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 1; status 2 means ContextDependent
+        return 0 if exc.code == 0 else 1
     try:
         cfg = load_config(args.config)
         if args.command == "run":
-            cfg = _apply_overrides(cfg, args)
+            _apply_overrides(cfg, args)
         validate(cfg)
         if args.command == "validate":
             print(f"ok: scenario={cfg.scenario} shots="

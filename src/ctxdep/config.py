@@ -1,7 +1,11 @@
 """Run configuration: the flat ``key = value`` format, gate strings, validation.
 
-``parse_config`` checks each key on its own; ``validate`` runs the checks that
-involve several keys, once any command-line overrides are applied.
+One table, :data:`KEYS`, says for each config key which ``RunConfig``
+attribute it sets, what kind of value it takes and within which bounds.
+:func:`set_key` applies a row to a value's text; ``parse_config`` calls it for
+each config line and the CLI for each override flag, so a flag and its key are
+checked alike.  ``validate`` runs the checks that involve several keys, once
+any command-line overrides are applied.
 """
 
 from __future__ import annotations
@@ -9,20 +13,21 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .noise import GateSpec, NoiseParams
 
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "KEYS",
+    "set_key",
     "parse_gate_token",
     "parse_gate_string",
     "parse_config",
     "validate",
     "load_config",
 ]
-
-SCENARIOS = ("fig2a", "fig2b", "fig3a", "fig3b", "custom")
 
 DEFAULT_PHI = {
     "fig2a": (0.0, 0.001, 0.005),
@@ -31,6 +36,7 @@ DEFAULT_PHI = {
     "fig3b": (0.0, 0.005),
     "custom": (0.0,),
 }
+SCENARIOS = tuple(DEFAULT_PHI)
 
 
 class ConfigError(ValueError):
@@ -64,7 +70,7 @@ class RunConfig:
         if self.gamma3 is not None:
             return self.gamma3
         if self.p_ground <= 0:
-            raise ConfigError("p = 0 needs an explicit gamma3")
+            raise ConfigError("gamma3: p = 0 needs an explicit gamma3")
         return self.gamma1 * (1.0 - self.p_ground) / self.p_ground
 
     def resolved_gamma_phi(self) -> float:
@@ -134,149 +140,115 @@ def parse_gate_string(text: str) -> tuple[GateSpec, ...]:
     return tuple(gates)
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(part) for part in inner.split(",")]
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+class _Key(NamedTuple):
+    """One row of :data:`KEYS`: how a config key sets its ``RunConfig`` attribute."""
+
+    attr: str
+    # "real" (finite), "int" (never a bool), "reals" or "ints" (a non-empty
+    # ``[a, b, ...]`` list of those), "shots" ('exact' or an int), "gates" (a
+    # gate string), "text", or a tuple of the allowed strings
+    kind: str | tuple[str, ...]
+    lo: float = -math.inf  # inclusive bounds on every number of the value
+    hi: float = math.inf
+    to_attr: Callable | None = None  # converts the value to the attribute's unit
 
 
-def _parse_shots(key: str, raw) -> int | None:
-    if raw == "exact":
+KEYS = {
+    "scenario": _Key("scenario", SCENARIOS),
+    "phi_values": _Key("phi_values", "reals"),
+    "shots": _Key("shots", "shots", 1),
+    "seed": _Key("seed", "int"),
+    "bootstrap_resamples": _Key("bootstrap_resamples", "int", 100),
+    "reference": _Key("reference", "gates"),
+    "output_dir": _Key("output_dir", "text"),
+    "cyclic_order": _Key("cyclic_order", "int", 1, 4),
+    "gamma1": _Key("gamma1", "real", 0.0),
+    "t1_us": _Key("gamma1", "real", 1e-12, to_attr=lambda t1: 1.0 / (t1 * 1e-6)),
+    "gamma3": _Key("gamma3", "real", 0.0),
+    "gamma_phi": _Key("gamma_phi", "real", 0.0),
+    "p": _Key("p_ground", "real", 0.0, 1.0),
+    "eta": _Key("eta", "real", 1e-12, 1.0),
+    "t_gate": _Key("t_gate", "real", 1e-15),
+    "family": _Key("family", ("permutation", "cyclic", "repetition")),
+    "gates": _Key("gates", "gates"),
+    "n": _Key("n", "int", 1),
+    "m_values": _Key("m_values", "ints", 0),
+}
+
+
+def _number(row: _Key, kind: str, text: str, name: str):
+    try:
+        value = float(text) if kind == "real" else int(text)
+    except ValueError:
+        value = math.nan
+    if not -math.inf < value < math.inf:  # compares big integers exactly
+        expected = {"real": "a finite number", "shots": "'exact' or an integer"}.get(kind)
+        raise ConfigError(f"{name}: expected {expected or 'an integer'}, got {text!r}")
+    if not row.lo <= value <= row.hi:
+        raise ConfigError(f"{name}: must lie in [{row.lo:g}, {row.hi:g}], got {text}")
+    return value
+
+
+def _convert(row: _Key, text: str, name: str):
+    kind = row.kind
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigError(f"{name}: expected one of {'|'.join(kind)}, got {text!r}")
+        return text
+    if kind == "text":
+        return text
+    if kind == "gates":
+        try:
+            return parse_gate_string(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    if kind == "shots" and text == "exact":
         return None
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-        return raw
-    raise ConfigError(f"{key}: expected 'exact' or a positive integer, got {raw!r}")
+    if kind in ("reals", "ints"):
+        inner = text[1:-1] if text[:1] == "[" and text[-1:] == "]" else ""
+        if not inner.strip():
+            raise ConfigError(f"{name}: expected a non-empty list [a, b, ...], got {text!r}")
+        return tuple(_number(row, kind[:-1], part.strip(), name) for part in inner.split(","))
+    return _number(row, kind, text, name)
+
+
+def set_key(cfg: RunConfig, key: str, text: str, name: str) -> None:
+    """Parse ``text`` as the value of config ``key`` and store it on ``cfg``.
+
+    Every error starts with ``name``: the key itself, or the command-line flag
+    that overrides it.
+    """
+    row = KEYS.get(key)
+    if row is None:
+        raise ConfigError(f"{name}: unknown key")
+    value = _convert(row, text, name)
+    setattr(cfg, row.attr, value if row.to_attr is None else row.to_attr(value))
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat ``key = value`` config format.
+    """Parse the flat ``key = value`` config format through :func:`set_key`.
 
-    Unknown keys, malformed lines, and out-of-range values raise
-    :class:`ConfigError` naming the offending key.  Checks that involve
+    Unknown keys, malformed lines, out-of-range values and two keys that set
+    the same attribute raise :class:`ConfigError`.  Checks that involve
     several keys run in :func:`validate`, once any CLI overrides are applied.
     """
-    values: dict = {}
+    cfg = RunConfig()
+    set_by: dict[str, str] = {}  # attribute -> the key and line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, eq, raw = stripped.partition("=")
+        if not eq:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(raw)
-
-    cfg = RunConfig()
-
-    def take_float(key, minimum=None, maximum=None):
-        if key not in values:
-            return None
-        v = values.pop(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{key}: expected a number, got {v!r}")
-        v = float(v)
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}")
-        if maximum is not None and v > maximum:
-            raise ConfigError(f"{key}: must be <= {maximum}")
-        return v
-
-    if "scenario" in values:
-        scenario = values.pop("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: expected one of {SCENARIOS}, got {scenario!r}")
-        cfg.scenario = scenario
-    for key, attr, lo in (
-        ("gamma1", "gamma1", 0.0),
-        ("gamma3", "gamma3", 0.0),
-        ("gamma_phi", "gamma_phi", 0.0),
-    ):
-        v = take_float(key, minimum=lo)
-        if v is not None:
-            setattr(cfg, attr, v)
-    if "t1_us" in values:  # convenience alias: gamma1 = 1 / (t1_us microseconds)
-        t1 = take_float("t1_us", minimum=1e-12)
-        cfg.gamma1 = 1.0 / (t1 * 1e-6)
-    v = take_float("p", minimum=0.0, maximum=1.0)
-    if v is not None:
-        cfg.p_ground = v
-    v = take_float("eta", minimum=1e-12, maximum=1.0)
-    if v is not None:
-        cfg.eta = v
-    v = take_float("t_gate", minimum=1e-15)
-    if v is not None:
-        cfg.t_gate = v
-    if "phi_values" in values:
-        raw = values.pop("phi_values")
-        if not isinstance(raw, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
-            raise ConfigError("phi_values: expected a list of numbers")
-        if not all(math.isfinite(float(x)) for x in raw):
-            raise ConfigError("phi_values: values must be finite")
-        cfg.phi_values = tuple(float(x) for x in raw)
-    if "shots" in values:
-        cfg.shots = _parse_shots("shots", values.pop("shots"))
-    if "seed" in values:
-        raw = values.pop("seed")
-        if not isinstance(raw, int) or isinstance(raw, bool):
-            raise ConfigError("seed: expected an integer")
-        cfg.seed = raw
-    if "bootstrap_resamples" in values:
-        raw = values.pop("bootstrap_resamples")
-        if not isinstance(raw, int) or raw < 100:
-            raise ConfigError("bootstrap_resamples: expected an integer >= 100")
-        cfg.bootstrap_resamples = raw
-    for key in ("reference", "gates"):
-        if key in values:
-            raw = values.pop(key)
-            try:
-                setattr(cfg, key, parse_gate_string(str(raw)) if raw else ())
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-    if "output_dir" in values:
-        cfg.output_dir = str(values.pop("output_dir"))
-    if "family" in values:
-        raw = values.pop("family")
-        if raw not in ("permutation", "cyclic", "repetition"):
-            raise ConfigError(f"family: expected permutation|cyclic|repetition, got {raw!r}")
-        cfg.family = raw
-    if "n" in values:
-        raw = values.pop("n")
-        if not isinstance(raw, int) or raw < 1:
-            raise ConfigError("n: expected a positive integer")
-        cfg.n = raw
-    if "m_values" in values:
-        raw = values.pop("m_values")
-        if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
-            raise ConfigError("m_values: expected a list of integers")
-        cfg.m_values = tuple(raw)
-    if "cyclic_order" in values:
-        raw = values.pop("cyclic_order")
-        if not isinstance(raw, int) or not 1 <= raw <= 4:
-            raise ConfigError("cyclic_order: expected an integer in 1..4")
-        cfg.cyclic_order = raw
-    if values:
-        raise ConfigError(f"unknown keys: {', '.join(sorted(values))}")
+        key, raw = key.strip(), raw.strip()
+        if len(raw) >= 2 and raw[0] == raw[-1] == '"':  # quotes only delimit a value
+            raw = raw[1:-1]
+        set_key(cfg, key, raw, key)
+        attr = KEYS[key].attr
+        if attr in set_by:
+            raise ConfigError(f"{key}: {attr} is already set by {set_by[attr]}")
+        set_by[attr] = f"{key} on line {lineno}"
     return cfg
 
 
@@ -286,21 +258,24 @@ def _phi_dir_name(phi: float) -> str:
 
 def validate(cfg: RunConfig) -> None:
     """Checks that involve several keys; run once, after any CLI overrides."""
+    cfg.resolved_gamma3()
     folders = [_phi_dir_name(phi) for phi in cfg.resolved_phi_values()]
     if len(set(folders)) < len(folders):
         raise ConfigError(f"phi_values: two values share an output folder in {folders}")
-    if cfg.scenario == "custom":
-        if cfg.family is None:
-            raise ConfigError("custom scenario needs 'family'")
-        if not cfg.gates:
-            raise ConfigError("custom scenario needs a non-empty 'gates' list")
-        if cfg.family == "permutation":
-            if len(cfg.gates) != 2:
-                raise ConfigError("permutation family needs exactly 2 gates")
-            if cfg.n is None:
-                raise ConfigError("permutation family needs 'n'")
-        if cfg.family == "repetition" and not cfg.m_values:
-            raise ConfigError("repetition family needs 'm_values'")
+    if cfg.scenario != "custom":
+        return
+    if cfg.family is None:
+        raise ConfigError("family: the custom scenario needs one")
+    if not cfg.gates:
+        raise ConfigError("gates: the custom scenario needs a non-empty gate string")
+    if cfg.family == "permutation":
+        if len(cfg.gates) != 2:
+            raise ConfigError("gates: the permutation family needs exactly 2 gates")
+        if cfg.n is None:
+            raise ConfigError("n: the permutation family needs it")
+    m = cfg.m_values or ()
+    if cfg.family == "repetition" and (len(m) < 4 or any(b <= a for a, b in zip(m, m[1:]))):
+        raise ConfigError("m_values: the repetition family needs 4 or more increasing counts")
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -39,7 +39,6 @@ __all__ = [
     "log_abs_det",
     "trace_powers",
     "choi_matrix",
-    "spectrum_from_trace_powers",
 ]
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -312,27 +311,3 @@ def choi_matrix(ptm: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     v = _vec_columns(basis)
     w = (v @ ptm @ v.T).reshape(d, d, d, d)
     return w.transpose(0, 3, 1, 2).reshape(basis.size, basis.size) / basis.size
-
-
-def spectrum_from_trace_powers(matrix: np.ndarray) -> np.ndarray:
-    """Diagnostic eigenvalue estimate from power traces alone.
-
-    Builds the characteristic polynomial through Newton's identities and
-    returns its companion-matrix roots, sorted by descending magnitude.
-    Intended for reporting; equality of spectra is always decided on the
-    trace powers themselves.
-    """
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    powers = trace_powers(m, n)
-    # e_k via Newton's identities: k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
-    elem = np.zeros(n + 1)
-    elem[0] = 1.0
-    for k in range(1, n + 1):
-        acc = 0.0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * elem[k - i] * powers[i - 1]
-        elem[k] = acc / k
-    coeffs = [(-1) ** k * elem[k] for k in range(n + 1)]
-    roots = np.roots(coeffs)
-    return roots[np.argsort(-np.abs(roots))]

@@ -130,14 +130,14 @@ class TestRawEstimate:
         cal = ideal_calibration()
         est = raw_estimate(prob_table(seq("x", GATE_X_PI), model), cal)
         np.testing.assert_allclose(
-            est.matrix, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-9
+            est, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-9
         )
 
     def test_ideal_empty_sequence(self):
         model = ideal_model()
         cal = ideal_calibration()
         est = raw_estimate(prob_table(seq("ref"), model), cal)
-        np.testing.assert_allclose(est.matrix, np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(est, np.eye(4), atol=1e-9)
 
 
 class TestDetPermutationTest:
@@ -321,7 +321,7 @@ class TestRepetitionTest:
         p0 = prob_table(seq("ref"), baseline_model)
         raw0 = raw_estimate(p0, ideal_calibration())
         assert report.summary["intercept"] == pytest.approx(
-            log_abs_det(raw0.matrix), rel=1e-9
+            log_abs_det(raw0), rel=1e-9
         )
 
     def test_zero_noise_slope_zero(self):

@@ -4,12 +4,14 @@ import json
 import logging
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctxdep import read_table_csv
+from ctxdep.config import KEYS
 from ctxdep.cli import (
     ConfigError,
     load_config,
@@ -95,6 +97,18 @@ class TestParseConfig:
             "phi_values = [0, oops]",
             "seed = 1\nseed = 2",
             "bootstrap_resamples = 50",
+            # a bool is not an integer
+            "n = true",
+            "cyclic_order = true",
+            "m_values = [true, 3]",
+            # every number must be finite
+            "gamma1 = nan",
+            "t_gate = inf",
+            "phi_values = [0, nan]",
+            # two keys that set the same attribute
+            "t1_us = 30\ngamma1 = 5",
+            # an empty list, which would run nothing
+            "phi_values = []",
         ],
     )
     def test_rejects_invalid(self, text):
@@ -193,6 +207,21 @@ class TestRunScenario:
             open(os.path.join(cfg.output_dir, "phi_0.005", "report_cyclicfid.json"))
         )
         assert report["verdict"] == "ContextDependent"
+        reference = os.path.join(cfg.output_dir, "phi_0.005", "tables", "reference.csv")
+        assert read_table_csv(reference).label == "reference"
+
+    def test_volume_report_carries_no_verdict(self, tmp_path, capsys):
+        # at this coupling RepLinearity on the same tables is ContextDependent,
+        # so a descriptive series must not claim ContextIndependent
+        cfg, status = self._run(tmp_path, "scenario = fig3a\nphi_values = [0.02]\n")
+        assert status == 2
+        assert "Volume" not in capsys.readouterr().out
+        phi_dir = Path(cfg.output_dir) / "phi_0.02"
+        volume = json.loads((phi_dir / "report_volume_I.json").read_text())
+        assert volume["kind"] == "Volume"
+        assert volume["verdict"] is None and volume["threshold"] is None
+        replinearity = json.loads((phi_dir / "report_replinearity_I.json").read_text())
+        assert replinearity["verdict"] == "ContextDependent"
 
     def test_custom_permutation_sampled(self, tmp_path, capsys):
         cfg, status = self._run(
@@ -376,3 +405,49 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("RepLinearity") == 6  # 3 blocks x 2 phi values
         assert os.path.isdir("out/phi_0.005")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p = 0\n",  # the default gamma3 divides by p
+            'scenario = custom\nfamily = repetition\ngates = "X_pi"\nm_values = [3, 1, 2, 5]\n',
+            'scenario = custom\nfamily = repetition\ngates = "X_pi"\nm_values = [0, 1, 2]\n',
+            'scenario = custom\nfamily = repetition\ngates = "X_pi"\nm_values = [-1, 0, 1, 2]\n',
+        ],
+        ids=["p0-without-gamma3", "m-not-increasing", "three-m-values", "negative-m"],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["run", "--seed", "abc"], "--seed"),
+            (["run", "--scenario", "fig9"], "--scenario"),
+            (["run", "--shots", "0"], "--shots"),
+            (["run", "--bogus", "1"], None),
+            (["frobnicate"], None),
+        ],
+        ids=["seed-abc", "scenario-fig9", "shots-0", "unknown-flag", "unknown-command"],
+    )
+    def test_usage_errors_exit_1(self, capsys, argv, flag):
+        # exit status 2 is reserved for a ContextDependent verdict
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        if flag is not None:
+            assert err.startswith(f"error: {flag}: ")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["run", "--help"]) == 0
+        assert "--scenario" in capsys.readouterr().out
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```")[1]
+    keys = re.findall(r"^(\w+)\s*=", block, flags=re.MULTILINE)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(KEYS)

@@ -19,7 +19,6 @@ from ctxdep import (
     matexp,
     pauli_basis,
     ptm_of_map,
-    spectrum_from_trace_powers,
     trace_powers,
 )
 from ctxdep.ptm import PAULI_X, PAULI_Z, log_abs_det_many
@@ -422,11 +421,3 @@ class TestChoiAndSpectrum:
             for m, p_m in enumerate(basis.elements)
         ) / basis.size
         np.testing.assert_allclose(choi_matrix(ptm, basis), expected, rtol=0, atol=1e-12)
-
-    def test_spectrum_diagnostic(self):
-        m = np.diag([1.0, -0.5, 0.25, 0.1])
-        roots = spectrum_from_trace_powers(m)
-        np.testing.assert_allclose(
-            sorted(roots.real), sorted([1.0, -0.5, 0.25, 0.1]), atol=1e-8
-        )
-        np.testing.assert_allclose(roots.imag, 0.0, atol=1e-8)
