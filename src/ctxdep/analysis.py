@@ -218,13 +218,6 @@ def raw_estimate(table: ProbabilityTable, cal: CalibrationMatrices) -> np.ndarra
     return np.linalg.solve(cal.c.T, x.T).T
 
 
-def _spread(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return float("nan")
-    return float(finite.max() - finite.min())
-
-
 def _null_spread_thresholds(boots: np.ndarray) -> tuple[float, float]:
     """95%/99% quantiles of the max-min spread under the no-variation null.
 
@@ -244,13 +237,14 @@ def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verd
 
     A non-finite statistic or threshold (for instance a bootstrap null built
     from ``-inf`` log-determinants) supports no verdict: the result is
-    ``Inconclusive`` and the reason goes into ``details``, unless the caller
-    already stated there why the values could not be computed.
+    ``Inconclusive`` and the reason goes into ``details``.  So does a reason
+    the caller already stated there.
     """
     values = {"statistic": observed, "threshold95": thr95, "threshold99": thr99}
     bad = [name for name, value in values.items() if not np.isfinite(value)]
     if bad:
         details.setdefault("inconclusive_reason", "non-finite " + ", ".join(bad))
+    if "inconclusive_reason" in details:
         return Verdict.INCONCLUSIVE
     if observed > thr99:
         return Verdict.CONTEXT_DEPENDENT
@@ -259,15 +253,64 @@ def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verd
     return Verdict.CONTEXT_INDEPENDENT
 
 
-def _percentile_ci(boots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bootstrap_ci(boots: np.ndarray, details: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member 95% percentile interval of ``boots`` (members x resamples).
+
+    Also records ``details["bootstrap"]``: the resample count and the share of
+    bootstrap statistics that are not finite.
+    """
+    details["bootstrap"] = {
+        "resamples": boots.shape[1],
+        "non_finite_frac": float(np.mean(~np.isfinite(boots))),
+    }
     with np.errstate(invalid="ignore"):  # -inf draws give NaN bounds, written as null
-        lo = np.percentile(boots, 2.5, axis=1)
-        hi = np.percentile(boots, 97.5, axis=1)
-    return lo, hi
+        return np.percentile(boots, 2.5, axis=1), np.percentile(boots, 97.5, axis=1)
 
 
-def _bootstrap_details(boots: np.ndarray) -> dict:
-    return {"resamples": boots.shape[1], "non_finite_frac": float(np.mean(~np.isfinite(boots)))}
+def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> TestReport:
+    """Verdict of ``observed`` against the 95%/99% ``thresholds``, and its report."""
+    thr95, thr99 = float(thresholds[0]), float(thresholds[1])
+    summary.update(threshold95=thr95, threshold99=thr99)
+    verdict = _verdict(observed, thr95, thr99, details)
+    labels = [t.label for t in tables]
+    return TestReport(kind, labels, stats, verdict, thr99, summary, *ci, details)
+
+
+def _log_dets(tables, resamples: int, seed: int):
+    """``log|det P|`` of the stacked member tables, in one ``slogdet`` call, and the
+    (members x resamples) log-dets of their bootstrap draws (``None`` if all exact).
+    """
+    observed = log_abs_det_many(np.stack([t.entries for t in tables]))
+    if all(t.is_exact for t in tables):
+        return observed, None
+    boots = np.stack([log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables])
+    return observed, boots
+
+
+def _spread_report(kind, tables, stats, boots, summary: dict, details: dict) -> TestReport:
+    """Report of an invariant that must agree across a family's members.
+
+    The statistic is the max-min spread of the finite ``stats``, judged
+    against the ``EXACT_SPREAD_TOL`` floor for exact tables (``boots`` is
+    ``None``) and against the bootstrap null of ``boots`` otherwise.  A null
+    that stays at the floor has no width (every resample reproduced its
+    table, as single-shot 0/1 frequencies do) and supports no verdict.
+    """
+    ci = (None, None)
+    if boots is None:
+        thresholds = (EXACT_SPREAD_TOL, EXACT_SPREAD_TOL)
+    else:
+        # CI first: the other order left a 2 MB hole in the heap and raised the
+        # peak RSS of a 3-phi fig2b run at 1e5 shots by 1.7 MB
+        ci = _bootstrap_ci(boots, details)
+        thresholds = _null_spread_thresholds(boots)
+        if thresholds[1] <= EXACT_SPREAD_TOL:
+            reason = f"zero-width bootstrap null: 99% quantile <= {EXACT_SPREAD_TOL:g}"
+            details.setdefault("inconclusive_reason", reason)
+    finite = stats[np.isfinite(stats)]
+    spread = float(np.ptp(finite)) if finite.size else math.nan
+    summary.update(spread=spread, mean=float(finite.mean()) if finite.size else math.nan)
+    return _report(kind, tables, stats, spread, thresholds, ci, summary, details)
 
 
 def det_permutation_test(
@@ -283,54 +326,17 @@ def det_permutation_test(
     the same operation.  When ``cal`` is given, the statistics are also
     reported shifted into raw-estimate units (a constant offset).
     """
-    labels = [t.label for t in tables]
-    l_values = np.array([log_abs_det(t.entries) for t in tables])
-    singular = [lbl for lbl, v in zip(labels, l_values) if not np.isfinite(v)]
+    l_values, boots = _log_dets(tables, resamples, seed)
+    singular = [t.label for t, v in zip(tables, l_values) if not np.isfinite(v)]
     if singular:
         logger.warning("singular tables flagged: %s", ", ".join(singular))
-    observed = _spread(l_values)
-
+    summary: dict = {"n_singular": len(singular)}
     details: dict = {"singular_members": singular}
-    ci_low = ci_high = None
-    if all(t.is_exact for t in tables):
-        thr95 = thr99 = EXACT_SPREAD_TOL
-    else:
-        boots = np.stack([log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables])
-        thr95, thr99 = _null_spread_thresholds(boots)
-        ci_low, ci_high = _percentile_ci(boots)
-        details["bootstrap"] = _bootstrap_details(boots)
-    verdict = _verdict(observed, thr95, thr99, details)
-
-    summary = {
-        "spread": observed,
-        "mean": float(np.mean(l_values[np.isfinite(l_values)])),
-        "threshold95": thr95,
-        "threshold99": thr99,
-        "n_singular": len(singular),
-    }
     if cal is not None:
         offset = cal.log_abs_det
         summary["raw_units_offset"] = -offset
         details["raw_statistics"] = l_values - offset
-    return TestReport(
-        kind="PermDet",
-        member_labels=labels,
-        statistics=l_values,
-        verdict=verdict,
-        threshold=thr99,
-        summary=summary,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        details=details,
-    )
-
-
-def _check_reference(p0: np.ndarray) -> None:
-    cond = _cond(p0)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularReference(
-            f"reference table condition number {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
-        )
+    return _spread_report("PermDet", tables, l_values, boots, summary, details)
 
 
 def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -386,27 +392,29 @@ def cyclic_fidelity_test(
     Rotating a sequence cannot change the spectrum of the associated map, so
     the normalized power traces ``F^(r)`` must agree across all rotations.
     All orders ``r = 1..n`` are reported; the verdict is based on the
-    requested order.
+    requested order.  An exact reference that cannot be inverted raises
+    :class:`SingularReference`; a sampled one makes the result Inconclusive.
     """
     p0_entries = np.asarray(p0.entries, dtype=float)
-    _check_reference(p0_entries)
+    cond = _cond(p0_entries)
+    ill = None if cond <= CONDITION_LIMIT else (  # also for a NaN condition number
+        f"reference table condition number {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
+    )
+    if ill and p0.is_exact:
+        raise SingularReference(ill)
     n = p0_entries.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"r must lie in 1..{n}")
 
-    labels = [t.label for t in tables]
-    fid_all = _fidelities_observed([t.entries for t in tables], p0_entries, n)
-    stat = fid_all[:, r - 1]
-    observed = _spread(stat)
-
-    details = {
-        "fidelity_by_order": {str(order + 1): fid_all[:, order] for order in range(n)},
-        "spread_by_order": {str(order + 1): _spread(fid_all[:, order]) for order in range(n)},
-    }
-    ci_low = ci_high = None
-    if all(t.is_exact for t in tables) and p0.is_exact:
-        thr95 = thr99 = EXACT_SPREAD_TOL
+    details: dict = {}
+    boots = None
+    if ill:  # a sampled reference gives no statistic, observed or resampled
+        details["inconclusive_reason"] = ill
+        fid_all = np.full((len(tables), n), np.nan)
+        boots = np.full((len(tables), resamples), np.nan)
     else:
+        fid_all = _fidelities_observed([t.entries for t in tables], p0_entries, n)
+    if not ill and not (p0.is_exact and all(t.is_exact for t in tables)):
         # one inverse per reference draw, shared by every member; a singular
         # draw has none and leaves NaN statistics, which _verdict reports
         p0_draws = resample_cells(p0, resamples, seed)
@@ -420,30 +428,10 @@ def cyclic_fidelity_test(
         boots = np.empty((len(tables), resamples))
         for j, t in enumerate(tables):
             boots[j] = trace_powers(resample_cells(t, resamples, seed) @ p0_inv, r)[:, r - 1] / n
-        thr95, thr99 = _null_spread_thresholds(boots)
-        ci_low, ci_high = _percentile_ci(boots)
-        details["bootstrap"] = _bootstrap_details(boots)
-    verdict = _verdict(observed, thr95, thr99, details)
-
-    summary = {
-        "order": r,
-        "spread": observed,
-        "mean": float(stat.mean()),
-        "threshold95": thr95,
-        "threshold99": thr99,
-        "reference": p0.label,
-    }
-    return TestReport(
-        kind="CyclicFid",
-        member_labels=labels,
-        statistics=stat,
-        verdict=verdict,
-        threshold=thr99,
-        summary=summary,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        details=details,
-    )
+    details["fidelity_by_order"] = {str(k + 1): fid_all[:, k] for k in range(n)}
+    details["spread_by_order"] = {str(k + 1): float(np.ptp(fid_all[:, k])) for k in range(n)}
+    summary = {"order": r, "reference": p0.label}
+    return _spread_report("CyclicFid", tables, fid_all[:, r - 1], boots, summary, details)
 
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
@@ -482,7 +470,8 @@ def repetition_test(
 
     labels = [t.label for t in tables]
     offset = cal.log_abs_det
-    l_values = np.array([log_abs_det(t.entries) for t in tables]) - offset
+    l_values, boots = _log_dets(tables, resamples, seed)
+    l_values = l_values - offset
     good = np.isfinite(l_values)
     if not good.all():
         logger.warning(
@@ -490,26 +479,25 @@ def repetition_test(
             ", ".join(lbl for lbl, g in zip(labels, good) if not g),
         )
 
-    exact = all(t.is_exact for t in tables)
     details: dict = {"m_values": m_values}
     ci_low = ci_high = None
-    if exact:
+    if boots is None:
         weights = np.ones(good.sum())
     else:
-        boots = np.stack([log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables])
         boots -= offset
-        with np.errstate(invalid="ignore"):  # -inf draws: NaN weight, handled below
-            sigma = boots.std(axis=1, ddof=1)
-        weights = 1.0 / np.maximum(sigma[good], 1e-12) ** 2
-        ci_low, ci_high = _percentile_ci(boots)
-        details["bootstrap"] = _bootstrap_details(boots)
+        # -inf draws give a NaN sigma.  Draws that all equal the table have
+        # zero sigma, which std() can miss by a rounding error in the mean.
+        # Either weight is non-finite, handled below.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sigma = boots[good].std(axis=1, ddof=1)
+            weights = np.where(np.ptp(boots[good], axis=1) == 0, np.inf, 1.0 / sigma**2)
+        ci_low, ci_high = _bootstrap_ci(boots, details)
 
     x, y = m_values[good], l_values[good]
     unweighted = [lbl for lbl, w in zip(np.array(labels)[good], weights) if not np.isfinite(w)]
     p_value = None
     if unweighted:
-        # A -inf bootstrap log-det makes sigma, and so the weight, NaN; no
-        # weighted fit or null can be formed from it.
+        # no weighted fit or null can be formed from a NaN or infinite weight
         details["inconclusive_reason"] = (
             "non-finite bootstrap weight for " + ", ".join(unweighted)
         )
@@ -519,7 +507,7 @@ def repetition_test(
         slope, intercept, residuals, chi2 = _weighted_line_fit(x, y, weights)
         slope, intercept, chi2 = float(slope), float(intercept), float(chi2)
         residual_norm = float(np.linalg.norm(residuals))
-        if exact:
+        if boots is None:
             thr95 = thr99 = LINEAR_RESIDUAL_TOL
             slope_stderr = 0.0
             statistic_for_threshold = residual_norm
@@ -536,7 +524,6 @@ def repetition_test(
     increases = _find_increases(m_values, l_values, ci_low, ci_high)
     details["increases"] = increases
     details["observed_statistic"] = statistic_for_threshold
-    verdict = _verdict(statistic_for_threshold, thr95, thr99, details)
     summary = {
         "slope": slope,
         "intercept": intercept,
@@ -544,22 +531,11 @@ def repetition_test(
         "residual_norm": residual_norm,
         "chi2": chi2,
         "p_value": p_value,
-        "threshold95": float(thr95),
-        "threshold99": float(thr99),
         "n_excluded": int((~good).sum()),
         "n_increases": len(increases),
     }
-    return TestReport(
-        kind="RepLinearity",
-        member_labels=labels,
-        statistics=l_values,
-        verdict=verdict,
-        threshold=float(thr99),
-        summary=summary,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        details=details,
-    )
+    return _report("RepLinearity", tables, l_values, statistic_for_threshold, (thr95, thr99),
+                   (ci_low, ci_high), summary, details)
 
 
 def unitarity_u(ptm: np.ndarray, tol: float = 1e-8) -> float:

@@ -146,7 +146,7 @@ class _Key(NamedTuple):
     attr: str
     # "real" (finite), "int" (never a bool), "reals" or "ints" (a non-empty
     # ``[a, b, ...]`` list of those), "shots" ('exact' or an int), "gates" (a
-    # gate string), "text", or a tuple of the allowed strings
+    # gate string), "text" (non-empty), or a tuple of the allowed strings
     kind: str | tuple[str, ...]
     lo: float = -math.inf  # inclusive bounds on every number of the value
     hi: float = math.inf
@@ -155,7 +155,7 @@ class _Key(NamedTuple):
 
 KEYS = {
     "scenario": _Key("scenario", SCENARIOS),
-    "phi_values": _Key("phi_values", "reals"),
+    "phi_values": _Key("phi_values", "reals", -2 * math.pi, 2 * math.pi),
     "shots": _Key("shots", "shots", 1),
     "seed": _Key("seed", "int"),
     "bootstrap_resamples": _Key("bootstrap_resamples", "int", 100),
@@ -196,6 +196,8 @@ def _convert(row: _Key, text: str, name: str):
             raise ConfigError(f"{name}: expected one of {'|'.join(kind)}, got {text!r}")
         return text
     if kind == "text":
+        if not text:
+            raise ConfigError(f"{name}: expected a non-empty value")
         return text
     if kind == "gates":
         try:

@@ -186,6 +186,20 @@ def ising_generator(coupling: float, basis: OperatorBasis) -> np.ndarray:
     return hamiltonian_generator((coupling / 2.0) * np.kron(PAULI_Z, PAULI_Z), basis)
 
 
+def _noise_generators(params: NoiseParams, basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The ZZ coupling ``V`` and two-qubit dissipator ``D`` that every gate shares."""
+    dissipator = dissipator_generator(params.gamma1, params.gamma3, params.gamma_phi, 2, basis)
+    return ising_generator(params.coupling, basis), dissipator
+
+
+def _gate_matrix(gate: GateSpec, t_gate: float, basis: OperatorBasis, generators) -> np.ndarray:
+    if not isinstance(gate, GateSpec):
+        raise UnknownGate(f"not a gate instruction: {gate!r}")
+    stretch = gate.duration * t_gate
+    ising, dissipator = generators
+    return matexp(rotation_generator(gate, basis) + stretch * ising + stretch * dissipator)
+
+
 def noisy_gate(gate: GateSpec, params: NoiseParams, basis: OperatorBasis) -> np.ndarray:
     """16x16 transfer matrix of a noisy gate on the A+B pair.
 
@@ -193,15 +207,7 @@ def noisy_gate(gate: GateSpec, params: NoiseParams, basis: OperatorBasis) -> np.
     generator, ``V`` the ZZ coupling, ``D`` the two-qubit dissipator, and
     ``k`` the gate's duration multiplier.
     """
-    if not isinstance(gate, GateSpec):
-        raise UnknownGate(f"not a gate instruction: {gate!r}")
-    stretch = gate.duration * params.t_gate
-    exponent = rotation_generator(gate, basis)
-    exponent = exponent + stretch * ising_generator(params.coupling, basis)
-    exponent = exponent + stretch * dissipator_generator(
-        params.gamma1, params.gamma3, params.gamma_phi, 2, basis
-    )
-    return matexp(exponent)
+    return _gate_matrix(gate, params.t_gate, basis, _noise_generators(params, basis))
 
 
 def _thermal_qubit(p_ground: float) -> np.ndarray:
@@ -234,8 +240,9 @@ class TwoQubitModel:
     sequence with total transfer matrix ``S`` is
     ``spam_out[k] @ S @ spam_in[i]``.
 
-    Treat instances as immutable; the only internal mutation is gate-matrix
-    memoization.
+    ``generators`` holds the coupling and dissipator generators, built once
+    per model and shared by every gate.  Treat instances as immutable; the
+    only internal mutation is gate-matrix memoization.
     """
 
     params: NoiseParams
@@ -244,12 +251,13 @@ class TwoQubitModel:
     meas: np.ndarray
     spam_in: np.ndarray  # (4, 16)
     spam_out: np.ndarray  # (4, 16)
+    generators: tuple = field(repr=False)
     _gate_cache: dict = field(default_factory=dict, repr=False)
 
     def gate_ptm(self, gate: GateSpec) -> np.ndarray:
         cached = self._gate_cache.get(gate)
         if cached is None:
-            cached = noisy_gate(gate, self.params, self.basis)
+            cached = _gate_matrix(gate, self.params.t_gate, self.basis, self.generators)
             self._gate_cache[gate] = cached
         return cached
 
@@ -259,7 +267,8 @@ def build_model(params: NoiseParams) -> TwoQubitModel:
     basis = pauli_basis(2)
     rho0 = initial_state(params, basis)
     meas = measurement_effect(params, basis)
-    cache = {g: noisy_gate(g, params, basis) for g in IDEAL_GATE_SET}
+    generators = _noise_generators(params, basis)
+    cache = {g: _gate_matrix(g, params.t_gate, basis, generators) for g in IDEAL_GATE_SET}
     spam_in = np.array([cache[g] @ rho0 for g in IDEAL_GATE_SET])
     spam_out = np.array([cache[g].T @ meas for g in IDEAL_GATE_SET])
     return TwoQubitModel(
@@ -269,6 +278,7 @@ def build_model(params: NoiseParams) -> TwoQubitModel:
         meas=meas,
         spam_in=spam_in,
         spam_out=spam_out,
+        generators=generators,
         _gate_cache=cache,
     )
 

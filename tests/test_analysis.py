@@ -69,6 +69,18 @@ def kraus_ptm(kraus):
     return ptm_of_map(lambda rho: apply_kraus(kraus, rho), BASIS1)
 
 
+# 0/1 tables as single-shot sampling gives them: every bootstrap resample
+# reproduces them exactly.  log|det| is 0 for EYE and CYCLE and log 2 for TWO;
+# Tr(M^2) / 4 is 1 for EYE and 1/4 for the 3-cycle CYCLE.
+EYE = np.eye(4)
+TWO = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
+CYCLE = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=float)
+
+
+def one_shot(entries, label):
+    return ProbabilityTable(np.array(entries, dtype=float), 1, label)
+
+
 def random_spam_distortion(rng, cond):
     """Random invertible 4x4 with the requested condition number."""
     q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
@@ -197,6 +209,24 @@ class TestDetPermutationTest:
         assert report.details["bootstrap"]["resamples"] == 200
         assert 0 < report.details["bootstrap"]["non_finite_frac"] < 1
 
+    @pytest.mark.parametrize("second", [EYE, TWO], ids=["equal", "log2-apart"])
+    def test_zero_width_null_is_inconclusive(self, second):
+        # the null spread is zero up to roundoff, so no spread, not even
+        # log 2, can be told from shot noise
+        tables = [one_shot(EYE, "a"), one_shot(second, "b")]
+        report = det_permutation_test(tables, resamples=200, seed=4)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"].startswith("zero-width bootstrap null")
+        assert report.threshold == 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_singular_members_give_no_mean(self):
+        tables = [one_shot(np.zeros((4, 4)), "a"), one_shot(np.ones((4, 4)), "b")]
+        report = det_permutation_test(tables, resamples=100, seed=2)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert np.isnan(report.summary["mean"]) and np.isnan(report.summary["spread"])
+        assert report.details["singular_members"] == ["a", "b"]
+
     def test_singular_member_flagged(self, baseline_model):
         table = prob_table(seq("ok", GATE_X_PI), baseline_model)
         broken = ProbabilityTable(np.zeros((4, 4)), None, "dead")
@@ -237,6 +267,24 @@ class TestCyclicFidelityTest:
         dead = ProbabilityTable(np.ones((4, 4)), None, "flat")
         with pytest.raises(SingularReference):
             cyclic_fidelity_test([table], dead, r=2)
+
+    def test_sampled_ill_conditioned_reference_is_inconclusive(self, baseline_model):
+        table = prob_table(seq("x", GATE_X_PI), baseline_model)
+        flat = one_shot(np.ones((4, 4)), "flat")
+        report = cyclic_fidelity_test([table, table], flat, r=2, resamples=100)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"].startswith(
+            "reference table condition number "
+        )
+        assert np.isnan(report.statistics).all() and np.isnan(report.threshold)
+        assert report.details["bootstrap"]["non_finite_frac"] == 1.0
+
+    def test_zero_width_null_is_inconclusive(self):
+        tables = [one_shot(EYE, "a"), one_shot(CYCLE, "b")]
+        report = cyclic_fidelity_test(tables, one_shot(EYE, "ref"), r=2, resamples=100)
+        assert report.summary["spread"] == 0.75
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"].startswith("zero-width bootstrap null")
 
     def test_rejects_bad_order(self, baseline_model):
         p0 = prob_table(seq("ref"), baseline_model)
@@ -378,6 +426,16 @@ class TestRepetitionTest:
         assert reason == "non-finite bootstrap weight for " + ", ".join(expected)
         assert np.isnan(report.threshold) and np.isnan(report.summary["slope"])
         assert report.details["bootstrap"]["non_finite_frac"] > 0
+
+    def test_zero_sigma_weight_is_inconclusive(self):
+        # single-shot 0/1 tables resample to themselves: sigma is 0 and the
+        # weight infinite, which used to be clamped to 1e24 and fitted
+        tables = [one_shot(m, f"m{k}") for k, m in enumerate([EYE, TWO, EYE, TWO])]
+        report = repetition_test(tables, [0, 1, 2, 3], ideal_calibration(), resamples=100)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        reason = report.details["inconclusive_reason"]
+        assert reason == "non-finite bootstrap weight for m0, m1, m2, m3"
+        assert np.isnan(report.summary["chi2"])
 
     def test_batched_null_matches_per_draw_fits(self, baseline_model):
         """The one-call null agrees with one weighted fit per bootstrap draw."""

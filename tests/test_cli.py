@@ -109,6 +109,10 @@ class TestParseConfig:
             "t1_us = 30\ngamma1 = 5",
             # an empty list, which would run nothing
             "phi_values = []",
+            # a coupling angle whose generator overflows matexp
+            "phi_values = [1e300]",
+            # an empty output directory, which the run cannot create
+            'output_dir = ""',
         ],
     )
     def test_rejects_invalid(self, text):
@@ -428,10 +432,12 @@ class TestMain:
             (["run", "--seed", "abc"], "--seed"),
             (["run", "--scenario", "fig9"], "--scenario"),
             (["run", "--shots", "0"], "--shots"),
+            (["run", "--out", ""], "--out"),
             (["run", "--bogus", "1"], None),
             (["frobnicate"], None),
         ],
-        ids=["seed-abc", "scenario-fig9", "shots-0", "unknown-flag", "unknown-command"],
+        ids=["seed-abc", "scenario-fig9", "shots-0", "out-empty", "unknown-flag",
+             "unknown-command"],
     )
     def test_usage_errors_exit_1(self, capsys, argv, flag):
         # exit status 2 is reserved for a ContextDependent verdict
@@ -439,6 +445,19 @@ class TestMain:
         err = capsys.readouterr().err
         if flag is not None:
             assert err.startswith(f"error: {flag}: ")
+
+    def test_sampled_ill_conditioned_reference_is_inconclusive(self, tmp_path, capsys):
+        # at 1 shot the sampled reference is a 0/1 table; for the default seed
+        # at phi = 0 its condition number is about 1e18, which used to abort the run
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = fig2b\nshots = 1\nphi_values = [0]\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "phi_0" / "report_cyclicfid.json").read_text())
+        assert report["verdict"] == "Inconclusive"
+        assert re.fullmatch(r"reference table condition number \S+ exceeds 1e\+06",
+                            report["details"]["inconclusive_reason"])
+        assert (out / "phi_0" / "tables" / "reference.csv").exists()
 
     def test_help_exits_0(self, capsys):
         assert main(["run", "--help"]) == 0

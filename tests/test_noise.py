@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ctxdep.noise
 from ctxdep import (
     GATE_IDLE,
     GATE_X_MINUS_HALF,
@@ -290,6 +291,23 @@ class TestBuildModel:
     def test_gate_cache_reuses_matrices(self, baseline_model):
         first = baseline_model.gate_ptm(GATE_X_MINUS_HALF)
         assert baseline_model.gate_ptm(GATE_X_MINUS_HALF) is first
+
+    def test_generators_built_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return dissipator_generator(*args)
+
+        monkeypatch.setattr(ctxdep.noise, "dissipator_generator", counting)
+        params = make_params(phi=0.005)
+        model = build_model(params)
+        assert len(calls) == 1
+        # a gate outside the in/out set reuses the model's generators too,
+        # and matches the standalone construction bit for bit
+        gate = GateSpec("X", 0.7, 3)
+        assert np.array_equal(model.gate_ptm(gate), noisy_gate(gate, params, model.basis))
+        assert len(calls) == 2  # the second one is noisy_gate's own
 
 
 class TestDistortSpam:
