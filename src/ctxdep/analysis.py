@@ -264,7 +264,8 @@ def _bootstrap_ci(boots: np.ndarray, details: dict) -> tuple[np.ndarray, np.ndar
         "non_finite_frac": float(np.mean(~np.isfinite(boots))),
     }
     with np.errstate(invalid="ignore"):  # -inf draws give NaN bounds, written as null
-        return np.percentile(boots, 2.5, axis=1), np.percentile(boots, 97.5, axis=1)
+        low, high = np.percentile(boots, [2.5, 97.5], axis=1)
+    return low, high
 
 
 def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> TestReport:
@@ -339,44 +340,22 @@ def det_permutation_test(
     return _spread_report("PermDet", tables, l_values, boots, summary, details)
 
 
-def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pivoted Gaussian elimination in extended precision.
-
-    Large SPAM errors can drive the reference table's condition number to
-    ~1e6 while the invariants must still be reproduced to 1e-9; the extra
-    mantissa bits of ``longdouble`` keep the solve error far below that.
-    (On platforms where longdouble degenerates to double this falls back to
-    ordinary double-precision accuracy.)  Matrices here are d^2 x d^2, so
-    the scalar loop costs nothing.
-    """
-    a = a.astype(np.longdouble).copy()
-    b = b.astype(np.longdouble).copy()
-    n = a.shape[0]
-    for c in range(n):
-        p = c + int(np.argmax(np.abs(a[c:, c])))
-        if p != c:
-            a[[c, p]] = a[[p, c]]
-            b[[c, p]] = b[[p, c]]
-        for r in range(c + 1, n):
-            f = a[r, c] / a[c, c]
-            a[r, c:] -= f * a[c, c:]
-            b[r] -= f * b[c]
-    x = np.zeros_like(b)
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - a[r, r + 1 :] @ x[r + 1 :]) / a[r, r]
-    return x
-
-
 def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
-    """Observed-statistic fidelities, solved and multiplied in extended precision.
+    """Observed-statistic fidelities, multiplied in extended precision.
 
-    One elimination solves ``P0^T M_j^T = P_j^T`` for all members at once;
-    column block ``j`` of the solution is ``M_j^T``.
+    One solve of ``P0^T M_j^T = P_j^T`` covers all members; column block
+    ``j`` of the solution is ``M_j^T``.  Large SPAM errors can drive the
+    reference table's condition number to ~1e6 while the invariants must
+    still be reproduced to 1e-9, so the double-precision solve is refined
+    once with a residual taken in ``longdouble`` (Moler, J. ACM 14(2), 1967).
+    Where ``longdouble`` is double this gives plain double accuracy.
     """
     p0_t = np.asarray(p0_entries, dtype=float).T
     n = p0_t.shape[0]
     rhs = np.concatenate([np.asarray(entries, dtype=float).T for entries in entries_list], axis=1)
-    m = _solve_extended(p0_t, rhs).reshape(n, -1, n).transpose(1, 2, 0)
+    x = np.linalg.solve(p0_t, rhs).astype(np.longdouble)
+    x += np.linalg.solve(p0_t, (rhs - p0_t.astype(np.longdouble) @ x).astype(float))
+    m = x.reshape(n, -1, n).transpose(1, 2, 0)
     return trace_powers(m, r_max).astype(float) / n
 
 
@@ -459,8 +438,7 @@ def repetition_test(
     A context-independent repeated block makes ``L_m`` exactly affine in
     ``m``: the slope estimates ``log|det G_block|`` and the intercept the SPAM
     contribution.  Curvature beyond the shot-noise scale is evidence of
-    context dependence.  Adjacent increases of ``L_m`` are recorded for the
-    divisibility witness.
+    context dependence.
     """
     m_values = np.asarray(list(m_values), dtype=float)
     if len(tables) != len(m_values):
@@ -521,8 +499,6 @@ def repetition_test(
             slope_stderr = float(np.std(null_slopes, ddof=1))
             statistic_for_threshold = chi2
 
-    increases = _find_increases(m_values, l_values, ci_low, ci_high)
-    details["increases"] = increases
     details["observed_statistic"] = statistic_for_threshold
     summary = {
         "slope": slope,
@@ -532,7 +508,6 @@ def repetition_test(
         "chi2": chi2,
         "p_value": p_value,
         "n_excluded": int((~good).sum()),
-        "n_increases": len(increases),
     }
     return _report("RepLinearity", tables, l_values, statistic_for_threshold, (thr95, thr99),
                    (ci_low, ci_high), summary, details)
@@ -578,47 +553,44 @@ def accessible_volume(p: ProbabilityTable, p0: ProbabilityTable) -> float:
     return float(np.exp(log_abs_det(p.entries) - l0))
 
 
-def _find_increases(m_values, l_values, ci_low, ci_high, tol: float = EXACT_SPREAD_TOL):
-    """Adjacent pairs where the log-determinant series rises significantly."""
-    flags = []
-    for j in range(len(l_values) - 1):
-        a, b = l_values[j], l_values[j + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if ci_low is None:
-            significant = (b - a) > tol
-        else:
-            significant = b > a and ci_low[j + 1] > ci_high[j]
-        if significant:
-            flags.append(
-                {
-                    "m_from": float(m_values[j]),
-                    "m_to": float(m_values[j + 1]),
-                    "rise": float(b - a),
-                }
-            )
-    return flags
-
-
-def cp_witness(
-    m_values,
-    l_values,
-    ci_low=None,
-    ci_high=None,
-    tol: float = EXACT_SPREAD_TOL,
-) -> TestReport:
+def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     """Divisibility witness: ``log|det|`` may never rise along a process.
 
     Any significant increase of the series means the overall evolution cannot
     be divided into completely positive pieces, assuming the SPAM operations
     themselves are not significantly context-dependent (recorded as a caveat).
+    A rise between adjacent finite members is significant when it exceeds
+    ``EXACT_SPREAD_TOL`` or, given confidence intervals, when they do not
+    overlap.  An interval of zero width (every resample reproduced its table,
+    as single-shot 0/1 frequencies do) cannot tell a rise from shot noise,
+    so any one makes the result Inconclusive.
     """
     m_values = np.asarray(list(m_values), dtype=float)
     l_values = np.asarray(l_values, dtype=float)
     if len(m_values) < 2:
         raise ValueError("need at least 2 points")
-    increases = _find_increases(m_values, l_values, ci_low, ci_high, tol)
+    increases = []
+    for j in range(len(l_values) - 1):
+        a, b = l_values[j], l_values[j + 1]
+        if not (np.isfinite(a) and np.isfinite(b)):
+            continue
+        if ci_low is None:
+            significant = (b - a) > EXACT_SPREAD_TOL
+        else:
+            significant = b > a and ci_low[j + 1] > ci_high[j]
+        if significant:
+            increases.append(
+                {"m_from": float(m_values[j]), "m_to": float(m_values[j + 1]), "rise": float(b - a)}
+            )
+    labels = [f"m={int(m)}" for m in m_values]
+    details = {"m_values": m_values, "increases": increases}
     verdict = Verdict.CONTEXT_DEPENDENT if increases else Verdict.CONTEXT_INDEPENDENT
+    if ci_low is not None:
+        ci_low, ci_high = np.asarray(ci_low), np.asarray(ci_high)
+        zero_width = [lbl for lbl, lo, hi in zip(labels, ci_low, ci_high) if lo == hi]
+        if zero_width:
+            details["inconclusive_reason"] = "zero-width interval for " + ", ".join(zero_width)
+            verdict = Verdict.INCONCLUSIVE
     summary = {
         "n_increases": len(increases),
         "max_rise": max((f["rise"] for f in increases), default=0.0),
@@ -626,15 +598,7 @@ def cp_witness(
         "caveat": "assumes SPAM operations are not significantly context-dependent",
     }
     return TestReport(
-        kind="CPWitness",
-        member_labels=[f"m={int(m)}" for m in m_values],
-        statistics=l_values,
-        verdict=verdict,
-        threshold=tol,
-        summary=summary,
-        ci_low=None if ci_low is None else np.asarray(ci_low),
-        ci_high=None if ci_high is None else np.asarray(ci_high),
-        details={"m_values": m_values, "increases": increases},
+        "CPWitness", labels, l_values, verdict, EXACT_SPREAD_TOL, summary, ci_low, ci_high, details
     )
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from ctxdep import (
 
 from ctxdep import analysis
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
-from ctxdep.analysis import _fidelities_observed, _solve_extended
+from ctxdep.analysis import _fidelities_observed
 from ctxdep.cli import FIG3A_M_VALUES
 from ctxdep.experiment import resample_cells
 from ctxdep.ptm import log_abs_det_many
@@ -79,6 +81,29 @@ CYCLE = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype
 
 def one_shot(entries, label):
     return ProbabilityTable(np.array(entries, dtype=float), 1, label)
+
+
+def exact_fidelities(entries, p0_entries, r_max):
+    """``Tr((P P0^-1)^r) / n`` for ``r = 1..r_max`` in exact rational arithmetic.
+
+    Gauss-Jordan elimination of ``[P0^T | P^T]`` leaves ``(P P0^-1)^T``,
+    whose power traces are those of ``P P0^-1``.
+    """
+    n = len(p0_entries)
+    rows = [[Fraction(float(v)) for v in (*a, *b)] for a, b in zip(p0_entries.T, entries.T)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    m = [row[n:] for row in rows]
+    power, traces = m, []
+    for _ in range(r_max):
+        traces.append(float(sum(power[i][i] for i in range(n)) / n))
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in power]
+    return traces
 
 
 def random_spam_distortion(rng, cond):
@@ -342,16 +367,37 @@ class TestCyclicFidelityTest:
             m = resample_cells(t, 100, 3)[~singular] @ np.linalg.inv(p0_draws[~singular])
             assert np.array_equal(boots[j, ~singular], trace_powers(m, 2)[:, 1] / 4)
 
+    def test_observed_fidelities_match_exact_arithmetic(self):
+        # the refined solve must stay far below the 1e-9 floor even when SPAM
+        # errors push the reference table's condition number towards 1e6
+        model = build_model(make_params(phi=5e-3))
+        family = cyclic_family(seq("x_i20", GATE_X_PI, *([GATE_IDLE] * 20)))
+        rng = np.random.default_rng(71)
+        conds = []
+        for spam_cond in (10.0, 100.0, 316.0, 1000.0, 1000.0):
+            distorted = distort_spam(
+                model,
+                random_spam_distortion(rng, spam_cond),
+                random_spam_distortion(rng, spam_cond),
+            )
+            p0 = prob_table(seq("ref"), distorted).entries
+            members = [t.entries for t in family_tables(family, distorted)]
+            got = _fidelities_observed(members, p0, 4)
+            expected = [exact_fidelities(entries, p0, 4) for entries in members]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+            conds.append(np.linalg.cond(p0))
+        assert 1e5 < max(conds) <= 1e6
+
     def test_batched_observed_fidelities_are_bit_identical(self):
         model = build_model(make_params(phi=5e-3))
         base = seq("x_i40", GATE_X_PI, *([GATE_IDLE] * 40))
         tables = family_tables(cyclic_family(base), model, shots=10**4, seed=4)
         p0 = prob_table(seq("ref"), model)
-        p0_t = p0.entries.T
-        per_member = np.stack([_solve_extended(p0_t, t.entries.T).T for t in tables])
-        expected = trace_powers(per_member, 4).astype(float) / 4
         batched = _fidelities_observed([t.entries for t in tables], p0.entries, 4)
-        assert np.array_equal(batched, expected)
+        per_member = np.concatenate(
+            [_fidelities_observed([t.entries], p0.entries, 4) for t in tables]
+        )
+        assert np.array_equal(batched, per_member)
 
 
 class TestRepetitionTest:
@@ -618,6 +664,17 @@ class TestCpWitness:
         wide_high = [0.5, -0.5, -0.4]
         report = cp_witness([0, 1, 2], l_values, wide_low, wide_high)
         assert report.verdict is Verdict.CONTEXT_INDEPENDENT
+
+    def test_zero_width_interval_is_inconclusive(self):
+        # at 1 shot every resample reproduces its table, so an interval can
+        # have no width; it cannot tell this rise from shot noise
+        l_values = [0.0, -2.0, -1.5, -3.0]
+        low = [-0.5, -2.0, -1.6, -3.5]
+        high = [0.5, -2.0, -1.4, -2.5]
+        report = cp_witness([0, 1, 2, 3], l_values, low, high)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == "zero-width interval for m=1"
+        assert report.summary["n_increases"] == 1  # the rise is still reported
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):

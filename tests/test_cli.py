@@ -459,6 +459,15 @@ class TestMain:
                             report["details"]["inconclusive_reason"])
         assert (out / "phi_0" / "tables" / "reference.csv").exists()
 
+    def test_single_shot_witness_is_inconclusive(self, tmp_path, capsys):
+        # at 1 shot the witness intervals have zero width; at seed 2 the 0/1
+        # tables at phi = 0 show a rise, which such intervals cannot confirm
+        argv = ["run", "--scenario", "fig3a", "--shots", "1", "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "CPWitness" in out
+        assert "ContextDependent" not in out
+
     def test_help_exits_0(self, capsys):
         assert main(["run", "--help"]) == 0
         assert "--scenario" in capsys.readouterr().out

@@ -281,14 +281,15 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.entries, table.entries)  # bit-exact
 
     def test_sampled_table(self, baseline_model, tmp_path):
-        table = sample_table(
-            prob_table(seq("round2", GATE_X_PI), baseline_model), shots=12345, seed=8
-        )
-        path = tmp_path / "table.csv"
-        write_table_csv(table, path)
-        back = read_table_csv(path)
-        assert back.shots == 12345
-        assert np.array_equal(back.entries, table.entries)
+        exact = prob_table(seq("round2", GATE_X_PI), baseline_model)
+        for shots in (12345, 1):  # at 1 shot every entry is 0.0 or 1.0
+            table = sample_table(exact, shots=shots, seed=8)
+            path = tmp_path / f"table{shots}.csv"
+            write_table_csv(table, path)
+            back = read_table_csv(path)
+            assert back.label == table.label
+            assert back.shots == shots
+            assert np.array_equal(back.entries, table.entries)
 
 
 def _preset_cases():
