@@ -130,6 +130,8 @@ class TestReport:
         def _clean(value, path):
             if isinstance(value, np.ndarray):
                 return _clean(value.tolist(), path)
+            if isinstance(value, (np.bool_, bool)):
+                return bool(value)
             if isinstance(value, (np.floating, float)):
                 if math.isfinite(value):
                     return float(value)
@@ -563,7 +565,9 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     ``EXACT_SPREAD_TOL`` or, given confidence intervals, when they do not
     overlap.  An interval of zero width (every resample reproduced its table,
     as single-shot 0/1 frequencies do) cannot tell a rise from shot noise,
-    so any one makes the result Inconclusive.
+    so any one makes the result Inconclusive.  ``summary.cp_indivisible`` is
+    true exactly when the verdict is ContextDependent; the rises found are
+    listed in ``details.increases`` whatever the verdict.
     """
     m_values = np.asarray(list(m_values), dtype=float)
     l_values = np.asarray(l_values, dtype=float)
@@ -594,7 +598,7 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     summary = {
         "n_increases": len(increases),
         "max_rise": max((f["rise"] for f in increases), default=0.0),
-        "cp_indivisible": bool(increases),
+        "cp_indivisible": verdict is Verdict.CONTEXT_DEPENDENT,
         "caveat": "assumes SPAM operations are not significantly context-dependent",
     }
     return TestReport(

@@ -132,6 +132,26 @@ def _reference_table(cfg: RunConfig, model) -> experiment.ProbabilityTable:
     return table
 
 
+def _volume_report(report: analysis.TestReport) -> analysis.TestReport:
+    """Accessible-volume series of a repetition family's log-dets.
+
+    Volumes are relative to the first member with a finite log-det, named
+    in ``summary.normalized_to``; with none, that is null and every volume
+    NaN.  Descriptive output, not a hypothesis test, so it carries no
+    verdict or threshold.
+    """
+    ref = next((j for j, value in enumerate(report.statistics) if np.isfinite(value)), None)
+    l0 = np.nan if ref is None else report.statistics[ref]
+    return analysis.TestReport(
+        kind="Volume",
+        member_labels=report.member_labels,
+        statistics=np.exp(report.statistics - l0),
+        verdict=None,
+        threshold=None,
+        summary={"normalized_to": None if ref is None else report.member_labels[ref]},
+    )
+
+
 def _family_reports(cfg: RunConfig, family, tables, p0, cal):
     """Run the family's tests; return ``(artifact name, report, has plot)`` triples."""
     if family.kind == "permutation":
@@ -159,21 +179,10 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal):
     witness = analysis.cp_witness(
         family.m_values, report.statistics, report.ci_low, report.ci_high
     )
-    # Accessible-volume series relative to the first member; descriptive
-    # output, not a hypothesis test, so it carries no verdict or threshold.
-    l0 = report.statistics[0]
-    volume = analysis.TestReport(
-        kind="Volume",
-        member_labels=report.member_labels,
-        statistics=np.exp(report.statistics - l0),
-        verdict=None,
-        threshold=None,
-        summary={"normalized_to": report.member_labels[0]},
-    )
     return [
         (f"replinearity_{suffix}", report, True),
         (f"cpwitness_{suffix}", witness, False),
-        (f"volume_{suffix}", volume, True),
+        (f"volume_{suffix}", _volume_report(report), True),
     ]
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -100,15 +99,18 @@ class NoiseParams:
 
 def _angle_label(angle: float) -> str:
     # Render nice multiples of pi as fractions ("pi", "-pi/2"), else radians.
-    frac = Fraction(angle / math.pi).limit_denominator(16)
-    if abs(float(frac) * math.pi - angle) < 1e-12 and frac != 0:
-        num, den = frac.numerator, frac.denominator
-        head = "-" if num < 0 else ""
-        num = abs(num)
-        s = "pi" if num == 1 else f"{num}pi"
-        if den > 1:
-            s += f"/{den}"
-        return head + s
+    # Fractions with denominators up to 16 lie at least 1/240 apart, so the
+    # first denominator whose nearest numerator lands within 1e-12 of the
+    # angle gives the closest such fraction, already in lowest terms.
+    turns = angle / math.pi
+    for den in range(1, 17):
+        if not math.isfinite(turns * den):
+            break
+        num = round(turns * den)
+        if num != 0 and abs(num / den * math.pi - angle) < 1e-12:
+            head = "-" if num < 0 else ""
+            s = "pi" if abs(num) == 1 else f"{abs(num)}pi"
+            return head + (s if den == 1 else f"{s}/{den}")
     return f"{angle:.6g}rad"
 
 

@@ -676,6 +676,23 @@ class TestCpWitness:
         assert report.details["inconclusive_reason"] == "zero-width interval for m=1"
         assert report.summary["n_increases"] == 1  # the rise is still reported
 
+    @pytest.mark.parametrize(
+        "low,high,verdict",
+        [
+            (None, None, Verdict.CONTEXT_DEPENDENT),
+            ([-0.5, -2.5, -1.6, -3.5], [0.5, -1.9, -1.4, -2.5], Verdict.CONTEXT_DEPENDENT),
+            ([-0.5, -2.0, -1.6, -3.5], [0.5, -2.0, -1.4, -2.5], Verdict.INCONCLUSIVE),
+        ],
+        ids=["exact", "sampled", "zero-width"],
+    )
+    def test_indivisible_follows_verdict(self, low, high, verdict):
+        # the rise from m=1 to m=2 is found in all three; only a
+        # ContextDependent verdict may call the process indivisible
+        report = cp_witness([0, 1, 2, 3], [0.0, -2.0, -1.5, -3.0], low, high)
+        assert report.verdict is verdict
+        assert report.summary["cp_indivisible"] is (verdict is Verdict.CONTEXT_DEPENDENT)
+        assert [f["m_from"] for f in report.details["increases"]] == [1.0]
+
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
             cp_witness([0], [1.0])
@@ -803,3 +820,22 @@ class TestReportSerialization:
             "members[1].statistic",
             "details.fidelity_by_order.2[1]",
         ]
+
+    def test_booleans_are_json_booleans(self):
+        import json
+
+        report = Report(
+            kind="CPWitness",
+            member_labels=["a"],
+            statistics=np.array([0.0]),
+            verdict=Verdict.CONTEXT_INDEPENDENT,
+            threshold=1e-9,
+            summary={"flag": True, "np_flag": np.bool_(False), "count": np.int64(3)},
+            details={"flags": np.array([True, False])},
+        )
+        text = json.dumps(report.to_dict(), allow_nan=False, sort_keys=True)
+        assert '"flag": true' in text and '"np_flag": false' in text
+        payload = json.loads(text)
+        assert payload["summary"] == {"count": 3, "flag": True, "np_flag": False}
+        assert payload["summary"]["flag"] is True
+        assert payload["details"]["flags"] == [True, False]

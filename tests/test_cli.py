@@ -5,15 +5,19 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctxdep import read_table_csv
+from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
 from ctxdep.config import KEYS
 from ctxdep.cli import (
     ConfigError,
+    _volume_report,
     load_config,
     main,
     parse_config,
@@ -461,12 +465,35 @@ class TestMain:
 
     def test_single_shot_witness_is_inconclusive(self, tmp_path, capsys):
         # at 1 shot the witness intervals have zero width; at seed 2 the 0/1
-        # tables at phi = 0 show a rise, which such intervals cannot confirm
+        # tables at phi = 0 show a rise (log 3), which such intervals cannot
+        # confirm: it is listed, but the summary must not call it indivisible
         argv = ["run", "--scenario", "fig3a", "--shots", "1", "--seed", "2"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "CPWitness" in out
         assert "ContextDependent" not in out
+        report = tmp_path / "out" / "phi_0" / "report_cpwitness_I.json"
+        witness = json.loads(report.read_text())
+        assert witness["summary"]["cp_indivisible"] is False
+        assert witness["summary"]["n_increases"] == len(witness["details"]["increases"]) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_volume_skips_a_singular_first_member(self, tmp_path, capsys):
+        # at 1 shot and seed 1 the m = 0 table at phi = 0 is singular; the
+        # series used to subtract its -inf log-det (a RuntimeWarning, NaN volumes)
+        argv = ["run", "--scenario", "fig3a", "--shots", "1", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        phi_dir = tmp_path / "phi_0"
+        volume = json.loads((phi_dir / "report_volume_I.json").read_text())
+        rep = json.loads((phi_dir / "report_replinearity_I.json").read_text())
+        log_dets = [m["statistic"] for m in rep["members"]]
+        first = next(j for j, value in enumerate(log_dets) if value is not None)
+        assert first > 0
+        assert volume["summary"]["normalized_to"] == rep["members"][first]["label"]
+        for value, member in zip(log_dets, volume["members"]):
+            expected = 0.0 if value is None else math.exp(value - log_dets[first])
+            assert member["statistic"] == pytest.approx(expected, rel=1e-12)
+        assert "non_finite" not in volume["details"]
 
     def test_help_exits_0(self, capsys):
         assert main(["run", "--help"]) == 0
@@ -479,3 +506,53 @@ def test_readme_config_block_lists_every_key():
     keys = re.findall(r"^(\w+)\s*=", block, flags=re.MULTILINE)
     assert len(keys) == len(set(keys))
     assert set(keys) == set(KEYS)
+
+
+def test_volume_without_finite_member_names_none():
+    report = Report("RepLinearity", ["m0", "m1"], np.array([-np.inf, np.nan]), None, None, {})
+    with np.errstate(all="raise"):
+        volume = _volume_report(report)
+    assert volume.summary["normalized_to"] is None
+    assert np.isnan(volume.statistics).all()
+
+
+# Loaded only by what an exact run or `validate` never does: scipy is a test
+# dependency, numpy.random and hashlib (OpenSSL, via secrets/hmac too) serve
+# sampling, and fractions/decimal served gate labels.
+UNUSED_MODULES = ("scipy", "numpy.random", "hashlib", "_hashlib", "secrets", "decimal",
+                  "fractions")
+
+FOOTPRINT_CHILD = """
+import json, sys
+names, runs = json.loads(sys.argv[1])
+def unused():
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+import ctxdep.cli
+loaded = {"import": unused()}
+for name, argv in runs:
+    status = ctxdep.cli.main(argv)
+    loaded[name] = unused() if status in (0, 2) else f"exit {status}"
+print(json.dumps(loaded))
+"""
+
+
+def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
+    # one subprocess guards the import path: after importing the CLI and after
+    # exact runs of each family shape, none of UNUSED_MODULES may be loaded
+    configs = {
+        "permutation": 'family = permutation\ngates = "I X_pi"\nn = 3\n',
+        "cyclic": 'family = cyclic\ngates = "X_pi I*5"\n',
+        "repetition": 'family = repetition\ngates = "X_pi"\nm_values = [0, 2, 4, 6]\n',
+    }
+    runs = [("validate", ["validate"])]
+    for name, body in configs.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"scenario = custom\nshots = exact\nphi_values = [0, 0.005]\n{body}")
+        runs.append((name, ["run", "--config", str(path), "--out", str(tmp_path / name)]))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", FOOTPRINT_CHILD, json.dumps([UNUSED_MODULES, runs])]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert loaded == {name: [] for name in ["import", *(name for name, _ in runs)]}

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -177,6 +178,18 @@ class TestSamplingContract:
         gen = substream(11, "cell", tables[0].label)
         expected = gen.binomial(self.SHOTS, np.clip(tables[0].entries, 0.0, 1.0)) / self.SHOTS
         assert np.array_equal(sampled.entries, expected)
+
+    def test_streams_are_pinned(self):
+        # literal draws: a change to how substream keys are derived (hash,
+        # payload, byte order) or to the draw order of the cells shows here
+        table = ProbabilityTable(np.array([[0.1, 0.25], [0.5, 0.9]]), None, "pin")
+        sampled = sample_table(table, 1000, seed=2017)
+        assert sampled.entries.tolist() == [[0.096, 0.247], [0.488, 0.906]]
+        boots = resample_cells(sampled, 50, seed=2017)
+        assert boots[0].tolist() == [[0.102, 0.243], [0.507, 0.897]]
+        assert hashlib.sha256(boots.tobytes()).hexdigest() == (
+            "abc72ceb08aa97675b02d21c0bc24d9052d2ad7ae5eeafbfb8461ab1457dd024"
+        )
 
     def test_tags_and_labels_give_different_draws(self, tables):
         sampled = sample_table(tables[0], self.SHOTS, seed=11)

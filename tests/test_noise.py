@@ -70,6 +70,25 @@ class TestGateSpec:
         assert GATE_Y_MINUS_HALF.label == "Y_-pi/2"
         assert GateSpec("X", math.pi / 2, duration=3).label == "X_pi/2@3"
 
+    def test_angle_labels_match_closest_fraction(self):
+        # the label names the closest fraction of pi with a denominator up to
+        # 16 when it lies within 1e-12 of the angle, else gives radians
+        from fractions import Fraction
+
+        def by_fraction(angle):
+            frac = Fraction(angle / math.pi).limit_denominator(16)
+            if abs(float(frac) * math.pi - angle) < 1e-12 and frac != 0:
+                num, den = frac.numerator, frac.denominator
+                s = ("-" if num < 0 else "") + ("pi" if abs(num) == 1 else f"{abs(num)}pi")
+                return s if den == 1 else f"{s}/{den}"
+            return f"{angle:.6g}rad"
+
+        grid = [k * math.pi / d for d in range(1, 40) for k in range(-3 * d, 3 * d + 1)]
+        edges = [0.0, 5e-13, math.pi + 5e-13, math.pi + 2e-12, 1e20 * math.pi, 1e300, -1e308]
+        spread = np.random.default_rng(7).uniform(-20.0, 20.0, 500).tolist()
+        for angle in grid + edges + spread:
+            assert ctxdep.noise._angle_label(angle) == by_fraction(angle), angle
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GateSpec("Z", 1.0)

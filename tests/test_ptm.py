@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -279,19 +276,6 @@ class TestMatexp:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             matexp(np.full((4, 4), np.nan))
-
-    def test_cli_import_loads_no_scipy(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import sys, ctxdep.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
 
 
 class TestLogAbsDet:
