@@ -24,10 +24,8 @@ import os
 import re
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, experiment
 from .config import (  # also re-exported: `from ctxdep.cli import parse_config` works
     SCENARIOS,
     ConfigError,
@@ -40,14 +38,11 @@ from .config import (  # also re-exported: `from ctxdep.cli import parse_config`
     set_key,
     validate,
 )
-from .noise import (
-    GATE_IDLE,
-    GATE_X_HALF,
-    GATE_X_MINUS_HALF,
-    GATE_X_PI,
-    GATE_Y_PI,
-    build_model,
-)
+from .gates import GATE_IDLE, GATE_X_HALF, GATE_X_MINUS_HALF, GATE_X_PI, GATE_Y_PI
+
+if TYPE_CHECKING:
+    from . import analysis, experiment
+    from .noise import NoiseParams, TwoQubitModel
 
 __all__ = ["RunConfig", "parse_config", "load_config", "validate", "run_scenario", "main"]
 
@@ -60,6 +55,8 @@ FIG3B_M_VALUES = tuple(range(0, 251, 25))
 
 
 def _build_families(cfg: RunConfig) -> list[experiment.SequenceFamily]:
+    from . import experiment
+
     if cfg.scenario == "fig2a":
         return [experiment.permutation_family(GATE_IDLE, GATE_X_PI, 250)]
     if cfg.scenario == "fig2b":
@@ -101,10 +98,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit_tables(tables, out_dir: str) -> None:
+    from .experiment import _table_csv_text
+
     os.makedirs(out_dir, exist_ok=True)
     for t in tables:
         path = os.path.join(out_dir, _sanitize(t.label) + ".csv")
-        _write_atomic(path, experiment._table_csv_text(t))
+        _write_atomic(path, _table_csv_text(t))
 
 
 def _emit_report(report: analysis.TestReport, path: str) -> None:
@@ -125,6 +124,8 @@ def _emit_plot_csv(report: analysis.TestReport, phi: float, path: str, x_values=
 
 
 def _reference_table(cfg: RunConfig, model) -> experiment.ProbabilityTable:
+    from . import experiment
+
     ref_seq = experiment.Sequence(gates=cfg.reference, label="reference")
     table = experiment.prob_table(ref_seq, model)
     if cfg.shots is not None:
@@ -140,9 +141,13 @@ def _volume_report(report: analysis.TestReport) -> analysis.TestReport:
     NaN.  Descriptive output, not a hypothesis test, so it carries no
     verdict or threshold.
     """
+    import numpy as np
+
+    from .analysis import TestReport
+
     ref = next((j for j, value in enumerate(report.statistics) if np.isfinite(value)), None)
     l0 = np.nan if ref is None else report.statistics[ref]
-    return analysis.TestReport(
+    return TestReport(
         kind="Volume",
         member_labels=report.member_labels,
         statistics=np.exp(report.statistics - l0),
@@ -154,6 +159,8 @@ def _volume_report(report: analysis.TestReport) -> analysis.TestReport:
 
 def _family_reports(cfg: RunConfig, family, tables, p0, cal):
     """Run the family's tests; return ``(artifact name, report, has plot)`` triples."""
+    from . import analysis
+
     if family.kind == "permutation":
         report = analysis.det_permutation_test(
             tables, cal, resamples=cfg.bootstrap_resamples, seed=cfg.seed
@@ -205,6 +212,8 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict)
     Adds each stage's wall time to ``stage_s``; returns the reports that
     carry a verdict (descriptive ones, such as the volume series, do not).
     """
+    from . import experiment
+
     t0 = time.perf_counter()
     tables = experiment.family_tables(family, model, shots=cfg.shots, seed=cfg.seed)
     p0 = _reference_table(cfg, model) if family.kind == "cyclic" else None
@@ -219,6 +228,17 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict)
     return [report for _, report, _ in outputs if report.verdict is not None]
 
 
+def build_model(params: NoiseParams) -> TwoQubitModel:
+    """:func:`ctxdep.noise.build_model`, which loads the numerical layers.
+
+    The run loop looks this name up in this module when it calls it, so a
+    wrapper set here sees every build (``perfbench/trace_child.py`` sets one).
+    """
+    from . import noise
+
+    return noise.build_model(params)
+
+
 def run_scenario(cfg: RunConfig) -> int:
     """Execute every (phi, family) job of the configured scenario.
 
@@ -226,6 +246,8 @@ def run_scenario(cfg: RunConfig) -> int:
     dependence, else 0 (``Inconclusive`` verdicts included).  Each phi's
     stage wall times are logged at level INFO.
     """
+    from . import analysis
+
     cal = analysis.ideal_calibration()
     families = _build_families(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .noise import GateSpec, NoiseParams
+from .gates import GateSpec
+
+if TYPE_CHECKING:
+    from .noise import NoiseParams
 
 __all__ = [
     "ConfigError",
@@ -80,6 +84,8 @@ class RunConfig:
         return self.phi_values if self.phi_values is not None else DEFAULT_PHI[self.scenario]
 
     def noise_params(self, phi: float) -> NoiseParams:
+        from .noise import NoiseParams  # numpy loads only when a run builds a model
+
         return NoiseParams(
             gamma1=self.gamma1,
             gamma3=self.resolved_gamma3(),
@@ -153,10 +159,14 @@ class _Key(NamedTuple):
     to_attr: Callable | None = None  # converts the value to the attribute's unit
 
 
+# Upper bounds a run can represent: numpy draws binomial counts with an int64
+# ``n``, and no gate sequence is longer than ``sys.maxsize`` gates.
+_INT64_MAX = 2**63 - 1
+
 KEYS = {
     "scenario": _Key("scenario", SCENARIOS),
     "phi_values": _Key("phi_values", "reals", -2 * math.pi, 2 * math.pi),
-    "shots": _Key("shots", "shots", 1),
+    "shots": _Key("shots", "shots", 1, _INT64_MAX),
     "seed": _Key("seed", "int"),
     "bootstrap_resamples": _Key("bootstrap_resamples", "int", 100),
     "reference": _Key("reference", "gates"),
@@ -171,8 +181,8 @@ KEYS = {
     "t_gate": _Key("t_gate", "real", 1e-15),
     "family": _Key("family", ("permutation", "cyclic", "repetition")),
     "gates": _Key("gates", "gates"),
-    "n": _Key("n", "int", 1),
-    "m_values": _Key("m_values", "ints", 0),
+    "n": _Key("n", "int", 1, sys.maxsize),
+    "m_values": _Key("m_values", "ints", 0, sys.maxsize),
 }
 
 
@@ -185,7 +195,8 @@ def _number(row: _Key, kind: str, text: str, name: str):
         expected = {"real": "a finite number", "shots": "'exact' or an integer"}.get(kind)
         raise ConfigError(f"{name}: expected {expected or 'an integer'}, got {text!r}")
     if not row.lo <= value <= row.hi:
-        raise ConfigError(f"{name}: must lie in [{row.lo:g}, {row.hi:g}], got {text}")
+        lo, hi = (bound if isinstance(bound, int) else f"{bound:g}" for bound in (row.lo, row.hi))
+        raise ConfigError(f"{name}: must lie in [{lo}, {hi}], got {text}")
     return value
 
 

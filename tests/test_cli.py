@@ -495,6 +495,35 @@ class TestMain:
             assert member["statistic"] == pytest.approx(expected, rel=1e-12)
         assert "non_finite" not in volume["details"]
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("shots = 100000000000000000000\n", "shots"),
+            ("shots = 9223372036854775808\n", "shots"),
+            ('scenario = custom\nfamily = permutation\ngates = "I X_pi"\n'
+             "n = 100000000000000000000\n", "n"),
+            ('scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
+             "m_values = [0, 1, 2, 1000000000000000000000000000000]\n", "m_values"),
+        ],
+        ids=["shots-1e20", "shots-2**63", "n-1e20", "m-1e30"],
+    )
+    def test_counts_too_large_to_run_are_errors(self, tmp_path, capsys, text, key, command):
+        # these used to pass `validate`, then end the run in an OverflowError
+        # traceback (numpy's int64 binomial count, or a tuple length) before
+        # anything large was allocated
+        path = tmp_path / "run.cfg"
+        path.write_text("phi_values = [0]\n" + text)
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, "--config", str(path), *out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: must lie in [")
+
+    def test_shots_at_the_int64_bound_run(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"scenario = fig3b\nphi_values = [0.005]\nshots = {2**63 - 1}\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "ContextDependent" in capsys.readouterr().out
+
     def test_help_exits_0(self, capsys):
         assert main(["run", "--help"]) == 0
         assert "--scenario" in capsys.readouterr().out
@@ -521,30 +550,52 @@ def test_volume_without_finite_member_names_none():
 # sampling, and fractions/decimal served gate labels.
 UNUSED_MODULES = ("scipy", "numpy.random", "hashlib", "_hashlib", "secrets", "decimal",
                   "fractions")
+# Loaded only once a run needs them: `import ctxdep`, the CLI module and
+# `validate` need no numerical layer.
+NUMERICAL_MODULES = ("numpy", "ctxdep.ptm", "ctxdep.noise", "ctxdep.experiment",
+                     "ctxdep.analysis", "ctxdep.rng")
 
 FOOTPRINT_CHILD = """
 import json, sys
-names, runs = json.loads(sys.argv[1])
-def unused():
+setup_names, run_names, runs = json.loads(sys.argv[1])
+def loaded(names):
     return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+calls = {"build_model": 0, "run_scenario": 0}
+found = {}
+def record(step, names, status=0):
+    found[step] = {"loaded": loaded(names) if status in (0, 2) else f"exit {status}",
+                   "calls": dict(calls)}
+    calls.update(dict.fromkeys(calls, 0))
+import ctxdep
+record("import ctxdep", setup_names)
 import ctxdep.cli
-loaded = {"import": unused()}
+record("import ctxdep.cli", setup_names)
+# the run loop must look both names up on the CLI module, where a tracer wraps them
+def counting(name, original):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    return wrapper
+for name in calls:
+    setattr(ctxdep.cli, name, counting(name, getattr(ctxdep.cli, name)))
+record("validate", setup_names, ctxdep.cli.main(["validate"]))
 for name, argv in runs:
-    status = ctxdep.cli.main(argv)
-    loaded[name] = unused() if status in (0, 2) else f"exit {status}"
-print(json.dumps(loaded))
+    record(name, run_names, ctxdep.cli.main(argv))
+print(json.dumps(found))
 """
 
 
 def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
-    # one subprocess guards the import path: after importing the CLI and after
-    # exact runs of each family shape, none of UNUSED_MODULES may be loaded
+    # one subprocess guards the import path: importing the package and the CLI
+    # and validating load no numerical layer, and exact runs of each family
+    # shape none of UNUSED_MODULES; every run builds its model through
+    # `ctxdep.cli.build_model`, once per phi, and runs through `run_scenario`
     configs = {
         "permutation": 'family = permutation\ngates = "I X_pi"\nn = 3\n',
         "cyclic": 'family = cyclic\ngates = "X_pi I*5"\n',
         "repetition": 'family = repetition\ngates = "X_pi"\nm_values = [0, 2, 4, 6]\n',
     }
-    runs = [("validate", ["validate"])]
+    runs = []
     for name, body in configs.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(f"scenario = custom\nshots = exact\nphi_values = [0, 0.005]\n{body}")
@@ -552,7 +603,31 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-c", FOOTPRINT_CHILD, json.dumps([UNUSED_MODULES, runs])]
+    names = [UNUSED_MODULES + NUMERICAL_MODULES, UNUSED_MODULES, runs]
+    argv = [sys.executable, "-c", FOOTPRINT_CHILD, json.dumps(names)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert loaded == {name: [] for name in ["import", *(name for name, _ in runs)]}
+    found = json.loads(out.stdout.strip().splitlines()[-1])
+    idle = {"loaded": [], "calls": {"build_model": 0, "run_scenario": 0}}
+    ran = {"loaded": [], "calls": {"build_model": 2, "run_scenario": 1}}
+    assert found == {"import ctxdep": idle, "import ctxdep.cli": idle, "validate": idle,
+                     **{name: ran for name, _ in runs}}
+
+
+def test_package_names_are_their_modules_objects():
+    # the package resolves its names on first use; each must be the very
+    # object its module defines, and a star import must see them all
+    import ctxdep
+
+    layers = [importlib.import_module(f"ctxdep.{name}")
+              for name in ("gates", "ptm", "noise", "experiment", "analysis")]
+    for name in ctxdep.__all__:
+        homes = [module for module in layers if hasattr(module, name)]
+        assert homes, name
+        assert all(getattr(module, name) is getattr(ctxdep, name) for module in homes), name
+    namespace: dict = {}
+    exec("from ctxdep import *", namespace)
+    assert {name: namespace[name] for name in ctxdep.__all__} == {
+        name: getattr(ctxdep, name) for name in ctxdep.__all__}
+    assert set(ctxdep.__all__) <= set(dir(ctxdep))
+    with pytest.raises(AttributeError):
+        ctxdep.no_such_name

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ctxdep.gates
 import ctxdep.noise
 from ctxdep import (
     GATE_IDLE,
@@ -87,7 +88,7 @@ class TestGateSpec:
         edges = [0.0, 5e-13, math.pi + 5e-13, math.pi + 2e-12, 1e20 * math.pi, 1e300, -1e308]
         spread = np.random.default_rng(7).uniform(-20.0, 20.0, 500).tolist()
         for angle in grid + edges + spread:
-            assert ctxdep.noise._angle_label(angle) == by_fraction(angle), angle
+            assert ctxdep.gates._angle_label(angle) == by_fraction(angle), angle
 
     def test_validation(self):
         with pytest.raises(ValueError):
