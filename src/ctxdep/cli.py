@@ -68,8 +68,7 @@ def _build_families(cfg: RunConfig) -> list[experiment.SequenceFamily]:
         return [experiment.repetition_family([GATE_IDLE], FIG3A_M_VALUES)]
     if cfg.scenario == "fig3b":
         return [
-            experiment.repetition_family(list(block), FIG3B_M_VALUES)
-            for _, block in FIG3B_BLOCKS
+            experiment.repetition_family(block, FIG3B_M_VALUES) for block in FIG3B_BLOCKS
         ]
     if cfg.family == "permutation":
         return [experiment.permutation_family(cfg.gates[0], cfg.gates[1], cfg.n)]
@@ -79,11 +78,7 @@ def _build_families(cfg: RunConfig) -> list[experiment.SequenceFamily]:
     return [experiment.repetition_family(list(cfg.gates), cfg.m_values)]
 
 
-FIG3B_BLOCKS = (
-    ("X_pi", (GATE_X_PI,)),
-    ("X_piY_pi", (GATE_X_PI, GATE_Y_PI)),
-    ("X_-pi/2X_pi/2", (GATE_X_MINUS_HALF, GATE_X_HALF)),
-)
+FIG3B_BLOCKS = ((GATE_X_PI,), (GATE_X_PI, GATE_Y_PI), (GATE_X_MINUS_HALF, GATE_X_HALF))
 
 
 def _sanitize(label: str) -> str:
@@ -296,8 +291,10 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 
 
 def main(argv=None) -> int:
+    # a level name maps to its number; any other value would make basicConfig raise
+    level = logging.getLevelName(os.environ.get("CTXDEP_LOG", "WARNING").upper())
     logging.basicConfig(
-        level=getattr(logging, os.environ.get("CTXDEP_LOG", "WARNING").upper(), logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
@@ -315,7 +312,7 @@ def main(argv=None) -> int:
                   f"phi_values={list(cfg.resolved_phi_values())} seed={cfg.seed}")
             return 0
         return run_scenario(cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, ImportError) as exc:  # run without numpy
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,11 @@ preparation ``i`` is followed by the sequence and then measurement setting
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Sequence as TypingSequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence as TypingSequence
 
 import numpy as np
 
@@ -75,13 +76,18 @@ class SequenceFamily:
 
     ``kind`` is "permutation" (members are rearrangements of one gate
     multiset), "cyclic" (members are rotations of one list) or "repetition"
-    (members are a block repeated ``m_values[j]`` times).
+    (members are a block repeated ``m_values[j]`` times).  ``product``, set
+    by the constructor that knows the layout, maps a model to the members'
+    exact table entries; without it the members are evaluated one by one.
     """
 
     members: tuple[Sequence, ...]
     kind: str
     description: str
     m_values: tuple[int, ...] | None = None
+    product: Callable[[TwoQubitModel], list[np.ndarray]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def sequence_ptm(seq: Sequence, model: TwoQubitModel) -> np.ndarray:
@@ -173,6 +179,7 @@ def permutation_family(a: GateSpec, b: GateSpec, n: int) -> SequenceFamily:
         members=tuple(members),
         kind="permutation",
         description=f"rearrangements of {a.label}^{n} {b.label}^{n}",
+        product=functools.partial(_permutation_entries, a, b, n),
     )
 
 
@@ -209,6 +216,7 @@ def cyclic_family(seq: Sequence) -> SequenceFamily:
         members=tuple(members),
         kind="cyclic",
         description=f"rotations of {seq.label}",
+        product=functools.partial(_cyclic_entries, seq.gates),
     )
 
 
@@ -231,11 +239,12 @@ def repetition_family(
         kind="repetition",
         description=f"({block_label})^m",
         m_values=ms,
+        product=functools.partial(_repetition_entries, block, ms),
     )
 
 
-def _permutation_entries(family: SequenceFamily, model: TwoQubitModel):
-    """Member tables of a :func:`permutation_family` layout, else ``None``.
+def _permutation_entries(a: GateSpec, b: GateSpec, n: int, model: TwoQubitModel):
+    """Member tables of :func:`permutation_family`.
 
     Member ``j`` is ``a^(n-j) b^(n-j) (b a)^j``, whose product in time order
     is ``(A B)^j C_(n-j)`` with ``C_i = B^i A^i = B C_(i-1) A``.  The
@@ -243,14 +252,6 @@ def _permutation_entries(family: SequenceFamily, model: TwoQubitModel):
     each); ``C_i`` is then stepped up while the members are written from the
     last to the first.
     """
-    members = family.members
-    n = len(members) - 1
-    if n < 1 or len(members[0]) != 2 * n:
-        return None
-    a, b = members[0].gates[0], members[0].gates[-1]
-    for j, seq in enumerate(members):
-        if seq.gates != (a,) * (n - j) + (b,) * (n - j) + (b, a) * j:
-            return None
     gate_a, gate_b = model.gate_ptm(a), model.gate_ptm(b)
     pair = gate_a @ gate_b
     left = np.empty((n + 1,) + model.spam_out.shape)
@@ -265,8 +266,8 @@ def _permutation_entries(family: SequenceFamily, model: TwoQubitModel):
     return entries
 
 
-def _cyclic_entries(family: SequenceFamily, model: TwoQubitModel):
-    """Member tables of a :func:`cyclic_family` layout, else ``None``.
+def _cyclic_entries(base: tuple[GateSpec, ...], model: TwoQubitModel):
+    """Member tables of :func:`cyclic_family`.
 
     Rotation ``j`` of ``G_0 ... G_(L-1)`` starts at gate ``k = L - j``; its
     product is ``prefix_k suffix_k`` with ``prefix_k = G_(k-1) ... G_0`` and
@@ -274,14 +275,7 @@ def _cyclic_entries(family: SequenceFamily, model: TwoQubitModel):
     ``suffix_k spam_in^T`` are stacked once (16 x 4 each); the prefix is then
     stepped up while the members are written.
     """
-    members = family.members
-    base = members[0].gates
     length = len(base)
-    if len(members) != length:
-        return None
-    for j, seq in enumerate(members):
-        if seq.gates != base[length - j :] + base[: length - j]:
-            return None
     gates = [model.gate_ptm(g) for g in base]
     right = np.empty((length + 1,) + model.spam_in.T.shape)
     right[length] = model.spam_in.T
@@ -297,27 +291,14 @@ def _cyclic_entries(family: SequenceFamily, model: TwoQubitModel):
     return entries
 
 
-def _repetition_entries(family: SequenceFamily, model: TwoQubitModel):
-    """Member tables of a :func:`repetition_family` layout, else ``None``.
+def _repetition_entries(
+    block: tuple[GateSpec, ...], ms: tuple[int, ...], model: TwoQubitModel
+):
+    """Member tables of :func:`repetition_family`.
 
     The block's product is formed once and its power stepped along the
-    increasing ``m_values``; a step is recomputed only when its size changes.
+    increasing ``ms``; a step is recomputed only when its size changes.
     """
-    members, ms = family.members, family.m_values
-    if ms is None or len(ms) != len(members) or ms[0] < 0:
-        return None
-    if any(later <= earlier for earlier, later in zip(ms, ms[1:])):
-        return None
-    top, top_gates = ms[-1], members[-1].gates
-    if top == 0:
-        block = ()
-    elif len(top_gates) % top:
-        return None
-    else:
-        block = top_gates[: len(top_gates) // top]
-    for m, seq in zip(ms, members):
-        if seq.gates != block * m:
-            return None
     block_ptm = np.eye(model.basis.size)
     for gate in block:
         block_ptm = model.gate_ptm(gate) @ block_ptm
@@ -334,15 +315,6 @@ def _repetition_entries(family: SequenceFamily, model: TwoQubitModel):
     return entries
 
 
-# Family layouts with a structured product, tried in order on the member
-# gate tuples themselves; ``kind`` and labels are not trusted.
-_LAYOUTS = (
-    ("permutation", _permutation_entries),
-    ("cyclic", _cyclic_entries),
-    ("repetition", _repetition_entries),
-)
-
-
 def family_tables(
     family: SequenceFamily,
     model: TwoQubitModel,
@@ -351,20 +323,17 @@ def family_tables(
 ) -> list[ProbabilityTable]:
     """Tables for every member, sampled at ``shots`` unless exact is requested.
 
-    Exact tables come from the family's structure when the members follow
-    the layout of :func:`permutation_family`, :func:`cyclic_family` or
-    :func:`repetition_family` (O(members) matrix products in all); any other
+    Exact tables come from the family's ``product`` when its constructor
+    set one (:func:`permutation_family`, :func:`cyclic_family` and
+    :func:`repetition_family`: O(members) matrix products in all); any other
     family is evaluated member by member with :func:`sequence_ptm`.
     """
-    for name, layout in _LAYOUTS:
-        entries = layout(family, model) if family.members else None
-        if entries is not None:
-            logger.debug("%s: %s-shaped products", family.description, name)
-            tables = [
-                ProbabilityTable(entries=e, shots=None, label=seq.label)
-                for e, seq in zip(entries, family.members)
-            ]
-            break
+    if family.product is not None:
+        logger.debug("%s: %s-shaped products", family.description, family.kind)
+        tables = [
+            ProbabilityTable(entries=e, shots=None, label=seq.label)
+            for e, seq in zip(family.product(model), family.members)
+        ]
     else:
         logger.debug("%s: per-member sequence_ptm", family.description)
         tables = [prob_table(seq, model) for seq in family.members]

@@ -585,6 +585,13 @@ print(json.dumps(found))
 """
 
 
+def _python_child(args, **env_vars):
+    env = dict(os.environ, **env_vars)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     # one subprocess guards the import path: importing the package and the CLI
     # and validating load no numerical layer, and exact runs of each family
@@ -600,12 +607,9 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
         path = tmp_path / f"{name}.cfg"
         path.write_text(f"scenario = custom\nshots = exact\nphi_values = [0, 0.005]\n{body}")
         runs.append((name, ["run", "--config", str(path), "--out", str(tmp_path / name)]))
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     names = [UNUSED_MODULES + NUMERICAL_MODULES, UNUSED_MODULES, runs]
-    argv = [sys.executable, "-c", FOOTPRINT_CHILD, json.dumps(names)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    out = _python_child(["-c", FOOTPRINT_CHILD, json.dumps(names)])
+    assert out.returncode == 0, out.stderr
     found = json.loads(out.stdout.strip().splitlines()[-1])
     idle = {"loaded": [], "calls": {"build_model": 0, "run_scenario": 0}}
     ran = {"loaded": [], "calls": {"build_model": 2, "run_scenario": 1}}
@@ -631,3 +635,23 @@ def test_package_names_are_their_modules_objects():
     assert set(ctxdep.__all__) <= set(dir(ctxdep))
     with pytest.raises(AttributeError):
         ctxdep.no_such_name
+
+
+def test_run_without_numpy_fails_with_a_sentence(tmp_path):
+    # -S hides site-packages: validate still works, a run must say why it cannot start
+    probe = _python_child(["-S", "-c", "import numpy"])
+    if probe.returncode == 0:
+        pytest.skip("numpy is importable without site-packages")
+    out = _python_child(["-S", "-m", "ctxdep.cli", "run", "--scenario", "fig3b",
+                      "--out", str(tmp_path / "out")])
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "numpy" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_unknown_log_level_falls_back_to_warning():
+    # `logging.BASIC_FORMAT` is a string, not a level; basicConfig used to raise on it
+    out = _python_child(["-m", "ctxdep.cli", "validate"], CTXDEP_LOG="basic_format")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("ok: ")
+    assert out.stderr == ""

@@ -278,6 +278,19 @@ class TestFamilies:
             sequence_ptm(family.members[2], model), np.eye(16), atol=1e-10
         )
 
+    def test_families_built_alike_are_equal(self):
+        # the attached product is not part of a family's value
+        base = seq("abc", GATE_IDLE, GATE_X_PI, GATE_X_HALF)
+        for build in (
+            lambda: permutation_family(GATE_IDLE, GATE_X_PI, 3),
+            lambda: cyclic_family(base),
+            lambda: repetition_family([GATE_X_PI], [0, 2, 5]),
+        ):
+            first, second = build(), build()
+            assert first.product is not None
+            assert first == second
+            assert hash(first) == hash(second)
+
     def test_repetition_requires_increasing_m(self):
         with pytest.raises(ValueError):
             repetition_family([GATE_X_PI], [0, 5, 5])
@@ -324,6 +337,15 @@ def _not_rotations():
     return SequenceFamily(members=members, kind="cyclic", description="not rotations")
 
 
+def _hand_built_rotations():
+    # the members follow cyclic_family's layout, but only a constructor
+    # attaches a structured product, so these go member by member
+    rotations = cyclic_family(seq("base", GATE_X_PI, GATE_IDLE, GATE_X_HALF, GATE_IDLE))
+    return SequenceFamily(
+        members=rotations.members, kind="cyclic", description="hand-built rotations"
+    )
+
+
 FAMILY_CASES = _preset_cases() + [
     pytest.param(
         repetition_family([GATE_X_HALF, GATE_IDLE], [3, 4, 9, 17]),
@@ -336,6 +358,7 @@ FAMILY_CASES = _preset_cases() + [
         id="fallback-random-permutation",
     ),
     pytest.param(_not_rotations(), None, id="fallback-cyclic-not-rotations"),
+    pytest.param(_hand_built_rotations(), None, id="fallback-hand-built-rotations"),
 ]
 
 
@@ -350,9 +373,9 @@ def test_family_tables_match_per_member_oracle(
 ):
     """Family-shaped products agree with per-member ``prob_table``.
 
-    Families in a structured layout must not call ``sequence_ptm`` at all;
-    any other family is evaluated member by member.  Either way one debug
-    line names the path taken.
+    Families with a constructor's structured product must not call
+    ``sequence_ptm`` at all; any other family is evaluated member by
+    member.  Either way one debug line names the path taken.
     """
     calls = []
     oracle_ptm = experiment.sequence_ptm
