@@ -23,6 +23,7 @@ import logging
 import os
 import re
 import sys
+import threading
 import time
 from typing import TYPE_CHECKING
 
@@ -87,9 +88,16 @@ def _sanitize(label: str) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:  # there is none when open itself failed
+            pass
+        raise
 
 
 def _emit_tables(tables, out_dir: str) -> None:
@@ -188,9 +196,8 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal):
     ]
 
 
-def _emit_family(family, tables, p0, outputs, phi, out_dir) -> None:
-    """Write one family's tables, reports and plot CSVs under ``out_dir``."""
-    _emit_tables(tables if p0 is None else [*tables, p0], os.path.join(out_dir, "tables"))
+def _emit_reports(family, outputs, phi, out_dir) -> None:
+    """Write one family's reports and plot CSVs under ``out_dir``."""
     for name, report, plotted in outputs:
         _emit_report(report, os.path.join(out_dir, f"report_{name}.json"))
         if plotted:
@@ -198,12 +205,68 @@ def _emit_family(family, tables, p0, outputs, phi, out_dir) -> None:
             _emit_plot_csv(report, phi, path, x_values=family.m_values)
 
 
-STAGES = ("model build", "tables", "tests", "emit")
+class _Writer:
+    """One background thread that writes artifact files in the order they are queued.
+
+    File creation is mostly kernel time, so the files overlap the run's
+    computation.  The first failing job stops every later job;
+    :meth:`check` re-raises its exception in the calling thread.  The
+    writer calls no name that ``perfbench/trace_child.py`` wraps: the
+    tracer's span stack belongs to the main thread.
+    """
+
+    def __init__(self) -> None:
+        import queue  # loaded on the run path only: `validate` starts no writer
+
+        self._jobs = queue.SimpleQueue()
+        self._error: BaseException | None = None
+        self._emit_s = 0.0  # busy time on the current phi's files; writer thread only
+        self._thread = threading.Thread(target=self._drain, name="ctxdep-writer")
+        self._thread.start()
+
+    def write(self, fn, *args) -> None:
+        """Queue ``fn(*args)``, a job that writes files; its time counts as emit."""
+        self._jobs.put((self._write, fn, args))
+
+    def log_stages(self, phi: float, stage_s: dict) -> None:
+        """Queue the INFO lines of ``phi``'s stage times, after its last file."""
+        self._jobs.put((self._log_stages, phi, stage_s))
+
+    def check(self) -> None:
+        """Raise the first job's exception, if one failed."""
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        """Let the queued jobs finish, then join the thread."""
+        self._jobs.put(None)
+        self._thread.join()
+
+    def _drain(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            if self._error is None:
+                method, *args = job
+                try:
+                    method(*args)
+                except BaseException as exc:  # re-raised in the main thread by check()
+                    self._error = exc
+
+    def _write(self, fn, args) -> None:
+        t0 = time.perf_counter()
+        fn(*args)
+        self._emit_s += time.perf_counter() - t0
+
+    def _log_stages(self, phi: float, stage_s: dict) -> None:
+        for stage, seconds in {**stage_s, "emit": self._emit_s}.items():
+            logger.info("phi=%g %s: %.3f s", phi, stage, seconds)
+        self._emit_s = 0.0
 
 
-def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict) -> list:
-    """Tables, tests and artifacts of one family under one model.
+def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict,
+                writer: _Writer) -> list:
+    """Tables and tests of one family under one model; ``writer`` writes the artifacts.
 
+    The tables are queued before the tests run, the reports after them.
     Adds each stage's wall time to ``stage_s``; returns the reports that
     carry a verdict (descriptive ones, such as the volume series, do not).
     """
@@ -213,13 +276,13 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict)
     tables = experiment.family_tables(family, model, shots=cfg.shots, seed=cfg.seed)
     p0 = _reference_table(cfg, model) if family.kind == "cyclic" else None
     t1 = time.perf_counter()
+    writer.write(_emit_tables, tables if p0 is None else [*tables, p0],
+                 os.path.join(out_dir, "tables"))
     outputs = _family_reports(cfg, family, tables, p0, cal)
     t2 = time.perf_counter()
-    _emit_family(family, tables, p0, outputs, phi, out_dir)
-    t3 = time.perf_counter()
+    writer.write(_emit_reports, family, outputs, phi, out_dir)
     stage_s["tables"] += t1 - t0
     stage_s["tests"] += t2 - t1
-    stage_s["emit"] += t3 - t2
     return [report for _, report, _ in outputs if report.verdict is not None]
 
 
@@ -239,7 +302,10 @@ def run_scenario(cfg: RunConfig) -> int:
 
     Returns the process exit status: 2 if any test flags context
     dependence, else 0 (``Inconclusive`` verdicts included).  Each phi's
-    stage wall times are logged at level INFO.
+    stage wall times are logged at level INFO.  Artifacts are written by a
+    :class:`_Writer`, so a verdict may print before its phi's files exist;
+    the call returns after the last file is written, and a write error is
+    raised at the next phi or at the end.
     """
     from . import analysis
 
@@ -247,21 +313,26 @@ def run_scenario(cfg: RunConfig) -> int:
     families = _build_families(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     any_dependent = False
-    for phi in cfg.resolved_phi_values():
-        stage_s = dict.fromkeys(STAGES, 0.0)
-        t0 = time.perf_counter()
-        model = build_model(cfg.noise_params(phi))
-        stage_s["model build"] = time.perf_counter() - t0
-        phi_dir = os.path.join(cfg.output_dir, _phi_dir_name(phi))
-        os.makedirs(phi_dir, exist_ok=True)
-        for family in families:
-            for report in _run_family(cfg, family, model, cal, phi, phi_dir, stage_s):
-                tag = f"phi={phi:g} {report.kind} [{family.description}]"
-                print(f"{tag}: {report.verdict.value}")
-                if report.verdict is analysis.Verdict.CONTEXT_DEPENDENT:
-                    any_dependent = True
-        for stage in STAGES:
-            logger.info("phi=%g %s: %.3f s", phi, stage, stage_s[stage])
+    writer = _Writer()
+    try:
+        for phi in cfg.resolved_phi_values():
+            writer.check()
+            t0 = time.perf_counter()
+            model = build_model(cfg.noise_params(phi))
+            stage_s = {"model build": time.perf_counter() - t0, "tables": 0.0, "tests": 0.0}
+            phi_dir = os.path.join(cfg.output_dir, _phi_dir_name(phi))
+            os.makedirs(phi_dir, exist_ok=True)
+            for family in families:
+                for report in _run_family(cfg, family, model, cal, phi, phi_dir, stage_s,
+                                          writer):
+                    tag = f"phi={phi:g} {report.kind} [{family.description}]"
+                    print(f"{tag}: {report.verdict.value}")
+                    if report.verdict is analysis.Verdict.CONTEXT_DEPENDENT:
+                        any_dependent = True
+            writer.log_stages(phi, stage_s)
+    finally:
+        writer.close()
+    writer.check()
     return 2 if any_dependent else 0
 
 

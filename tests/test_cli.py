@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -7,17 +8,19 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctxdep import read_table_csv
+from ctxdep import analysis, read_table_csv
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
 from ctxdep.config import KEYS
 from ctxdep.cli import (
     ConfigError,
     _volume_report,
+    _write_atomic,
     load_config,
     main,
     parse_config,
@@ -527,6 +530,82 @@ class TestMain:
     def test_help_exits_0(self, capsys):
         assert main(["run", "--help"]) == 0
         assert "--scenario" in capsys.readouterr().out
+
+
+def _tree_digest(root: Path) -> str:
+    """sha256 over every file under ``root``: its relative path, length and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+class TestArtifactWriter:
+    CYCLIC = 'scenario = custom\nfamily = cyclic\ngates = "X_pi I*5"\nphi_values = [0, 0.005]\n'
+
+    def _main(self, tmp_path, text):
+        # the writer thread must be joined whatever way the run ends
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        before = threading.enumerate()
+        status = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert threading.enumerate() == before
+        return status
+
+    def test_sampled_run_joins_the_writer(self, tmp_path, capsys):
+        status = self._main(tmp_path, self.CYCLIC + "shots = 1000\nbootstrap_resamples = 100\n")
+        assert status in (0, 2)
+        assert capsys.readouterr().err == ""
+        assert len(list((tmp_path / "out").glob("phi_*/report_cyclicfid.json"))) == 2
+
+    def test_write_error_stops_the_writes(self, tmp_path, capsys):
+        blocker = tmp_path / "out" / "phi_0" / "tables"
+        blocker.parent.mkdir(parents=True)
+        blocker.write_text("")
+        assert self._main(tmp_path, self.CYCLIC) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{blocker}'\n"
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == [blocker]
+
+    def test_failed_test_keeps_its_tables(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("cyclic test failed")
+
+        monkeypatch.setattr(analysis, "cyclic_fidelity_test", fail)
+        assert self._main(tmp_path, self.CYCLIC) == 1
+        assert capsys.readouterr().err == "error: cyclic test failed\n"
+        out = tmp_path / "out"
+        assert len(list((out / "phi_0" / "tables").glob("*.csv"))) == 7  # 6 rotations + reference
+        assert not list(out.rglob("report_*.json"))
+
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            _write_atomic(str(tmp_path / "table.csv"), "text\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # Digests of the files written by the single-threaded emitter that the
+    # writer thread replaced: a changed byte, name or file set shows here.
+    @pytest.mark.parametrize(
+        "text,n_files,digest",
+        [
+            ('scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 1000\n'
+             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
+             "db40bf552bf3fed8092083c23adb66bd7415671cfe09ce8250920c010ce86963"),
+            ("scenario = fig3b\nshots = exact\n", 96,
+             "aeb0b7c50d472c73279bf93ea05fbce1581c36c251c55d9cc3e06f407d7e8b32"),
+        ],
+        ids=["cyclic-sampled", "fig3b-exact"],
+    )
+    def test_artifacts_are_pinned(self, tmp_path, capsys, text, n_files, digest):
+        self._main(tmp_path, text)
+        out = tmp_path / "out"
+        assert len([p for p in out.rglob("*") if p.is_file()]) == n_files
+        assert _tree_digest(out) == digest
 
 
 def test_readme_config_block_lists_every_key():
