@@ -109,23 +109,6 @@ def _emit_tables(tables, out_dir: str) -> None:
         _write_atomic(path, _table_csv_text(t))
 
 
-def _emit_report(report: analysis.TestReport, path: str) -> None:
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-    _write_atomic(path, text + "\n")
-
-
-def _emit_plot_csv(report: analysis.TestReport, phi: float, path: str, x_values=None) -> None:
-    lines = ["index,statistic,ci_low,ci_high,phi"]
-    xs = x_values if x_values is not None else range(len(report.member_labels))
-    for j, x in enumerate(xs):
-        lo = report.ci_low[j] if report.ci_low is not None else report.statistics[j]
-        hi = report.ci_high[j] if report.ci_high is not None else report.statistics[j]
-        lines.append(
-            f"{x},{float(report.statistics[j])!r},{float(lo)!r},{float(hi)!r},{phi!r}"
-        )
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
 def _reference_table(cfg: RunConfig, model) -> experiment.ProbabilityTable:
     from . import experiment
 
@@ -160,53 +143,46 @@ def _volume_report(report: analysis.TestReport) -> analysis.TestReport:
     )
 
 
-def _family_reports(cfg: RunConfig, family, tables, p0, cal):
-    """Run the family's tests; return ``(artifact name, report, has plot)`` triples."""
+def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.TestReport]:
+    """Run the family's tests; return their reports."""
     from . import analysis
 
+    boot = {"resamples": cfg.bootstrap_resamples, "seed": cfg.seed}
     if family.kind == "permutation":
-        report = analysis.det_permutation_test(
-            tables, cal, resamples=cfg.bootstrap_resamples, seed=cfg.seed
-        )
-        return [("permdet", report, True)]
+        return [analysis.det_permutation_test(tables, cal, **boot)]
     if family.kind == "cyclic":
-        report = analysis.cyclic_fidelity_test(
-            tables,
-            p0,
-            r=cfg.cyclic_order,
-            resamples=cfg.bootstrap_resamples,
-            seed=cfg.seed,
-        )
-        return [("cyclicfid", report, True)]
-    suffix = _sanitize(family.description.strip("()^m"))
-    report = analysis.repetition_test(
-        tables,
-        family.m_values,
-        cal,
-        resamples=cfg.bootstrap_resamples,
-        seed=cfg.seed,
-    )
-    witness = analysis.cp_witness(
-        family.m_values, report.statistics, report.ci_low, report.ci_high
-    )
-    return [
-        (f"replinearity_{suffix}", report, True),
-        (f"cpwitness_{suffix}", witness, False),
-        (f"volume_{suffix}", _volume_report(report), True),
-    ]
+        return [analysis.cyclic_fidelity_test(tables, p0, r=cfg.cyclic_order, **boot)]
+    report = analysis.repetition_test(tables, family.m_values, cal, **boot)
+    witness = analysis.cp_witness(family.m_values, report.statistics, report.ci_low, report.ci_high)
+    return [report, witness, _volume_report(report)]
 
 
-def _emit_reports(family, outputs, phi, out_dir) -> None:
-    """Write one family's reports and plot CSVs under ``out_dir``."""
-    for name, report, plotted in outputs:
-        _emit_report(report, os.path.join(out_dir, f"report_{name}.json"))
-        if plotted:
-            path = os.path.join(out_dir, f"plot_{name}.csv")
-            _emit_plot_csv(report, phi, path, x_values=family.m_values)
+def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
+    """Write each report's ``report_<kind>.json`` and, but for CPWitness, ``plot_<kind>.csv``.
+
+    ``<kind>`` is the report's kind in lower case, plus ``_<block>`` for a
+    repetition family, whose plots are indexed by ``m``.
+    """
+    repetition = family.m_values is not None
+    suffix = "_" + _sanitize(family.description.strip("()^m")) if repetition else ""
+    for report in reports:
+        name = report.kind.lower() + suffix
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        _write_atomic(os.path.join(out_dir, f"report_{name}.json"), text + "\n")
+        if report.kind == "CPWitness":
+            continue
+        stats = report.statistics
+        lo = stats if report.ci_low is None else report.ci_low
+        hi = stats if report.ci_high is None else report.ci_high
+        xs = family.m_values if repetition else range(len(stats))
+        lines = ["index,statistic,ci_low,ci_high,phi"]
+        for j, x in enumerate(xs):
+            lines.append(f"{x},{float(stats[j])!r},{float(lo[j])!r},{float(hi[j])!r},{phi!r}")
+        _write_atomic(os.path.join(out_dir, f"plot_{name}.csv"), "\n".join(lines) + "\n")
 
 
 class _Writer:
-    """One background thread that writes artifact files in the order they are queued.
+    """One background thread that runs queued jobs in order: artifact writes and stage logs.
 
     File creation is mostly kernel time, so the files overlap the run's
     computation.  The first failing job stops every later job;
@@ -220,17 +196,13 @@ class _Writer:
 
         self._jobs = queue.SimpleQueue()
         self._error: BaseException | None = None
-        self._emit_s = 0.0  # busy time on the current phi's files; writer thread only
+        self.busy_s = 0.0  # time in jobs since _log_stages reset it; writer thread only
         self._thread = threading.Thread(target=self._drain, name="ctxdep-writer")
         self._thread.start()
 
     def write(self, fn, *args) -> None:
-        """Queue ``fn(*args)``, a job that writes files; its time counts as emit."""
-        self._jobs.put((self._write, fn, args))
-
-    def log_stages(self, phi: float, stage_s: dict) -> None:
-        """Queue the INFO lines of ``phi``'s stage times, after its last file."""
-        self._jobs.put((self._log_stages, phi, stage_s))
+        """Queue ``fn(*args)``; its run time adds to :attr:`busy_s`."""
+        self._jobs.put((fn, args))
 
     def check(self) -> None:
         """Raise the first job's exception, if one failed."""
@@ -245,21 +217,20 @@ class _Writer:
     def _drain(self) -> None:
         while (job := self._jobs.get()) is not None:
             if self._error is None:
-                method, *args = job
+                fn, args = job
+                t0 = time.perf_counter()
                 try:
-                    method(*args)
+                    fn(*args)
                 except BaseException as exc:  # re-raised in the main thread by check()
                     self._error = exc
+                self.busy_s += time.perf_counter() - t0
 
-    def _write(self, fn, args) -> None:
-        t0 = time.perf_counter()
-        fn(*args)
-        self._emit_s += time.perf_counter() - t0
 
-    def _log_stages(self, phi: float, stage_s: dict) -> None:
-        for stage, seconds in {**stage_s, "emit": self._emit_s}.items():
-            logger.info("phi=%g %s: %.3f s", phi, stage, seconds)
-        self._emit_s = 0.0
+def _log_stages(writer: _Writer, phi: float, stage_s: dict) -> None:
+    """Log ``phi``'s stage times at INFO; queued after its files, ``emit`` is their write time."""
+    for stage, seconds in {**stage_s, "emit": writer.busy_s}.items():
+        logger.info("phi=%g %s: %.3f s", phi, stage, seconds)
+    writer.busy_s = 0.0
 
 
 def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict,
@@ -278,12 +249,12 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict,
     t1 = time.perf_counter()
     writer.write(_emit_tables, tables if p0 is None else [*tables, p0],
                  os.path.join(out_dir, "tables"))
-    outputs = _family_reports(cfg, family, tables, p0, cal)
+    reports = _family_reports(cfg, family, tables, p0, cal)
     t2 = time.perf_counter()
-    writer.write(_emit_reports, family, outputs, phi, out_dir)
+    writer.write(_emit_reports, family, reports, phi, out_dir)
     stage_s["tables"] += t1 - t0
     stage_s["tests"] += t2 - t1
-    return [report for _, report, _ in outputs if report.verdict is not None]
+    return [report for report in reports if report.verdict is not None]
 
 
 def build_model(params: NoiseParams) -> TwoQubitModel:
@@ -329,7 +300,7 @@ def run_scenario(cfg: RunConfig) -> int:
                     print(f"{tag}: {report.verdict.value}")
                     if report.verdict is analysis.Verdict.CONTEXT_DEPENDENT:
                         any_dependent = True
-            writer.log_stages(phi, stage_s)
+            writer.write(_log_stages, writer, phi, stage_s)
     finally:
         writer.close()
     writer.check()

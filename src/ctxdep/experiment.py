@@ -9,9 +9,7 @@ preparation ``i`` is followed by the sequence and then measurement setting
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence as TypingSequence
@@ -297,19 +295,15 @@ def _repetition_entries(
     """Member tables of :func:`repetition_family`.
 
     The block's product is formed once and its power stepped along the
-    increasing ``ms``; a step is recomputed only when its size changes.
+    increasing ``ms``.
     """
     block_ptm = np.eye(model.basis.size)
     for gate in block:
         block_ptm = model.gate_ptm(gate) @ block_ptm
     entries = []
-    power = np.eye(model.basis.size)
-    done, step, step_ptm = 0, 0, power
+    power, done = np.eye(model.basis.size), 0
     for m in ms:
-        if m - done != step:
-            step = m - done
-            step_ptm = np.linalg.matrix_power(block_ptm, step)
-        power = step_ptm @ power
+        power = np.linalg.matrix_power(block_ptm, m - done) @ power
         done = m
         entries.append(model.spam_out @ power @ model.spam_in.T)
     return entries
@@ -349,15 +343,12 @@ def write_table_csv(table: ProbabilityTable, path) -> None:
 
 
 def _table_csv_text(table: ProbabilityTable) -> str:
-    buf = io.StringIO()
-    buf.write(f"# label = {table.label}\n")
-    buf.write(f"# shots = {'exact' if table.is_exact else table.shots}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    n_rows, n_cols = table.entries.shape
-    writer.writerow(["setting"] + [f"prep{i}" for i in range(n_cols)])
-    for k in range(n_rows):
-        writer.writerow([f"meas{k}"] + [repr(float(v)) for v in table.entries[k]])
-    return buf.getvalue()
+    lines = [f"# label = {table.label}",
+             f"# shots = {'exact' if table.is_exact else table.shots}",
+             ",".join(["setting"] + [f"prep{i}" for i in range(table.entries.shape[1])])]
+    for k, row in enumerate(table.entries):
+        lines.append(",".join([f"meas{k}"] + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 def read_table_csv(path) -> ProbabilityTable:

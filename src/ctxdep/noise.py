@@ -198,8 +198,6 @@ class TwoQubitModel:
 
     params: NoiseParams
     basis: OperatorBasis
-    rho0: np.ndarray
-    meas: np.ndarray
     spam_in: np.ndarray  # (4, 16)
     spam_out: np.ndarray  # (4, 16)
     generators: tuple = field(repr=False)
@@ -225,8 +223,6 @@ def build_model(params: NoiseParams) -> TwoQubitModel:
     return TwoQubitModel(
         params=params,
         basis=basis,
-        rho0=rho0,
-        meas=meas,
         spam_in=spam_in,
         spam_out=spam_out,
         generators=generators,

@@ -183,12 +183,12 @@ class TestRunScenario:
         for name in tables:
             table = read_table_csv(os.path.join(phi_dir, "tables", name))
             assert table.entries.shape == (4, 4)
-        report = json.load(open(os.path.join(phi_dir, "report_replinearity_X_pi.json")))
+        report = json.loads(Path(phi_dir, "report_replinearity_X_pi.json").read_text())
         assert report["kind"] == "RepLinearity"
         assert report["verdict"] == "ContextIndependent"
         assert os.path.exists(os.path.join(phi_dir, "report_cpwitness_X_pi.json"))
         assert os.path.exists(os.path.join(phi_dir, "report_volume_X_pi.json"))
-        plot = open(os.path.join(phi_dir, "plot_replinearity_X_pi.csv")).read().splitlines()
+        plot = Path(phi_dir, "plot_replinearity_X_pi.csv").read_text().splitlines()
         assert plot[0] == "index,statistic,ci_low,ci_high,phi"
         assert len(plot) == 6
 
@@ -197,9 +197,7 @@ class TestRunScenario:
         assert status == 0
         out = capsys.readouterr().out
         assert "PermDet" in out and "ContextIndependent" in out
-        report = json.load(
-            open(os.path.join(cfg.output_dir, "phi_0", "report_permdet.json"))
-        )
+        report = json.loads(Path(cfg.output_dir, "phi_0", "report_permdet.json").read_text())
         assert report["verdict"] == "ContextIndependent"
         assert report["summary"]["spread"] < 1e-9
         assert len(report["members"]) == 251
@@ -214,9 +212,7 @@ class TestRunScenario:
         )
         assert status == 2
         assert "CyclicFid" in capsys.readouterr().out
-        report = json.load(
-            open(os.path.join(cfg.output_dir, "phi_0.005", "report_cyclicfid.json"))
-        )
+        report = json.loads(Path(cfg.output_dir, "phi_0.005", "report_cyclicfid.json").read_text())
         assert report["verdict"] == "ContextDependent"
         reference = os.path.join(cfg.output_dir, "phi_0.005", "tables", "reference.csv")
         assert read_table_csv(reference).label == "reference"
@@ -598,8 +594,11 @@ class TestArtifactWriter:
              "db40bf552bf3fed8092083c23adb66bd7415671cfe09ce8250920c010ce86963"),
             ("scenario = fig3b\nshots = exact\n", 96,
              "aeb0b7c50d472c73279bf93ea05fbce1581c36c251c55d9cc3e06f407d7e8b32"),
+            ('scenario = custom\nfamily = permutation\ngates = "I X_pi"\nn = 6\nshots = 1000\n'
+             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 18,
+             "534badd37988fc0a69806af4a0235906c3f70586607315ec4d9abf5ac5616bcd"),
         ],
-        ids=["cyclic-sampled", "fig3b-exact"],
+        ids=["cyclic-sampled", "fig3b-exact", "permutation-sampled"],
     )
     def test_artifacts_are_pinned(self, tmp_path, capsys, text, n_files, digest):
         self._main(tmp_path, text)
