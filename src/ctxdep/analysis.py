@@ -12,8 +12,15 @@ reconstructing the gates themselves:
 * repetition test: ``log|det|`` must fall linearly with the repetition count
   of a fixed block, with slope ``log|det G|``.
 
-Statistical significance under finite shots is judged against a parametric
-bootstrap null (per-cell binomial resampling).
+Statistical significance under finite shots is judged against a null drawn
+from the tables' own shot noise.  The cyclic test uses the delta method: each
+table cell is a binomial frequency, so to first order a statistic moves by
+its gradient times the cells' noise, and a null draw is the observed
+statistic plus that Gaussian motion (Davison & Hinkley, *Bootstrap Methods
+and their Application*, 1997, ch. 2).  Where the reference table's shot noise
+is too large for a first-order expansion, the cyclic test falls back to a
+parametric bootstrap null (per-cell binomial resampling), which the
+permutation and repetition tests always use.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import experiment
 from .experiment import ProbabilityTable, resample_cells
 from .noise import IDEAL_GATE_SET, gate_unitary
 from .ptm import (
@@ -64,6 +72,10 @@ EXACT_SPREAD_TOL = 1e-9
 LINEAR_RESIDUAL_TOL = 1e-8
 # Reject solves against matrices more ill-conditioned than this.
 CONDITION_LIMIT = 1e6
+# The first-order expansion of (P + dP)^-1 converges while ||P^-1 dP|| < 1.  A
+# reference table whose ||P^-1||_2 ||sd(P)||_F reaches this bound has shot noise
+# too large for the delta-method null, and the cyclic test resamples instead.
+LINEAR_NULL_LIMIT = 1.0
 
 
 class IllConditioned(ValueError):
@@ -223,10 +235,10 @@ def raw_estimate(table: ProbabilityTable, cal: CalibrationMatrices) -> np.ndarra
 def _null_spread_thresholds(boots: np.ndarray) -> tuple[float, float]:
     """95%/99% quantiles of the max-min spread under the no-variation null.
 
-    Bootstrap statistics are centered per member, which removes the observed
+    Null draws are centered per member, which removes the observed
     member-to-member signal and leaves only shot noise.
     """
-    # -inf bootstrap log-dets give NaN thresholds, which _verdict reports.
+    # non-finite null draws give NaN thresholds, which _verdict reports.
     with np.errstate(invalid="ignore"):
         centered = boots - boots.mean(axis=1, keepdims=True)
         null_spread = centered.max(axis=0) - centered.min(axis=0)
@@ -237,8 +249,8 @@ def _null_spread_thresholds(boots: np.ndarray) -> tuple[float, float]:
 def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verdict:
     """Three-way verdict of a statistic against its null's 95%/99% thresholds.
 
-    A non-finite statistic or threshold (for instance a bootstrap null built
-    from ``-inf`` log-determinants) supports no verdict: the result is
+    A non-finite statistic or threshold (for instance a null with NaN draws
+    for a singular table) supports no verdict: the result is
     ``Inconclusive`` and the reason goes into ``details``.  So does a reason
     the caller already stated there.
     """
@@ -255,14 +267,15 @@ def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verd
     return Verdict.CONTEXT_INDEPENDENT
 
 
-def _bootstrap_ci(boots: np.ndarray, details: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member 95% percentile interval of ``boots`` (members x resamples).
+def _null_ci(boots: np.ndarray, method: str, details: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member 95% percentile interval of the null draws ``boots`` (members x draws).
 
-    Also records ``details["bootstrap"]``: the resample count and the share of
-    bootstrap statistics that are not finite.
+    Also records ``details["null"]``: the ``method`` ("delta" or
+    "bootstrap"), the draw count and the share of draws that are not finite.
     """
-    details["bootstrap"] = {
-        "resamples": boots.shape[1],
+    details["null"] = {
+        "method": method,
+        "draws": boots.shape[1],
         "non_finite_frac": float(np.mean(~np.isfinite(boots))),
     }
     with np.errstate(invalid="ignore"):  # -inf draws give NaN bounds, written as null
@@ -290,14 +303,55 @@ def _log_dets(tables, resamples: int, seed: int):
     return observed, boots
 
 
-def _spread_report(kind, tables, stats, boots, summary: dict, details: dict) -> TestReport:
+def _cell_sd(tables) -> np.ndarray:
+    """Binomial standard deviation of every cell's frequency; 0 in an exact table."""
+    shots = np.array([np.inf if t.is_exact else t.shots for t in tables], dtype=float)
+    p = np.clip(np.stack([t.entries for t in tables]), 0.0, 1.0)
+    return np.sqrt(p * (1.0 - p) / shots[:, None, None])
+
+
+def _linear_size(inverse: np.ndarray, sd: np.ndarray) -> float:
+    """``||P^-1||_2 ||sd(P)||_F`` of a table, given its inverse and cell standard deviations.
+
+    The delta method needs it below ``LINEAR_NULL_LIMIT``.
+    """
+    return float(np.linalg.norm(inverse, 2) * np.linalg.norm(sd))
+
+
+def _delta_null(tables, stats, sigma, shared, resamples: int, seed: int) -> np.ndarray:
+    """(members x resamples) delta-method null draws of the cyclic test's ``stats``.
+
+    Draw ``b`` of member ``j`` is ``stats[j] + sigma[j] z[j, b] + shared[j] . e[:, b]``
+    with standard normals ``z`` and ``e``: ``sigma[j]`` is the member's own
+    shot-noise sd, and ``e`` (one normal per column of ``shared``) moves the
+    reference table that every member shares.  All come from one substream
+    keyed on ``(seed, "null", "CyclicFid")``: ``e`` first, then one row of
+    ``z`` per member in label order, so a member's draws do not depend on its
+    place in the list.
+    """
+    # looked up on the module, as every other substream is, so that perfbench's
+    # traced runs (which wrap ctxdep.experiment.substream) count this one too
+    gen = experiment.substream(seed, "null", "CyclicFid")
+    common = gen.standard_normal((shared.shape[1], resamples))
+    boots = np.empty((len(tables), resamples))
+    for j in sorted(range(len(tables)), key=lambda j: tables[j].label):
+        row = boots[j]
+        gen.standard_normal(out=row)
+        row *= sigma[j]
+        row += stats[j]
+        row += shared[j] @ common
+    return boots
+
+
+def _spread_report(kind, tables, stats, boots, method: str, summary: dict,
+                   details: dict) -> TestReport:
     """Report of an invariant that must agree across a family's members.
 
     The statistic is the max-min spread of the finite ``stats``, judged
     against the ``EXACT_SPREAD_TOL`` floor for exact tables (``boots`` is
-    ``None``) and against the bootstrap null of ``boots`` otherwise.  A null
-    that stays at the floor has no width (every resample reproduced its
-    table, as single-shot 0/1 frequencies do) and supports no verdict.
+    ``None``) and against the null draws ``boots`` otherwise, made by
+    ``method``.  A null that stays at the floor has no width (single-shot 0/1
+    frequencies have no binomial variance) and supports no verdict.
     """
     ci = (None, None)
     if boots is None:
@@ -305,10 +359,10 @@ def _spread_report(kind, tables, stats, boots, summary: dict, details: dict) -> 
     else:
         # CI first: the other order left a 2 MB hole in the heap and raised the
         # peak RSS of a 3-phi fig2b run at 1e5 shots by 1.7 MB
-        ci = _bootstrap_ci(boots, details)
+        ci = _null_ci(boots, method, details)
         thresholds = _null_spread_thresholds(boots)
         if thresholds[1] <= EXACT_SPREAD_TOL:
-            reason = f"zero-width bootstrap null: 99% quantile <= {EXACT_SPREAD_TOL:g}"
+            reason = f"zero-width {method} null: 99% quantile <= {EXACT_SPREAD_TOL:g}"
             details.setdefault("inconclusive_reason", reason)
     finite = stats[np.isfinite(stats)]
     spread = float(np.ptp(finite)) if finite.size else math.nan
@@ -327,7 +381,8 @@ def det_permutation_test(
     The verdict needs no calibration: rearranging a gate multiset cannot
     change the determinant of the table if every instruction always performs
     the same operation.  When ``cal`` is given, the statistics are also
-    reported shifted into raw-estimate units (a constant offset).
+    reported shifted into raw-estimate units (a constant offset).  The
+    finite-shot null is the parametric bootstrap's.
     """
     l_values, boots = _log_dets(tables, resamples, seed)
     singular = [t.label for t, v in zip(tables, l_values) if not np.isfinite(v)]
@@ -339,7 +394,7 @@ def det_permutation_test(
         offset = cal.log_abs_det
         summary["raw_units_offset"] = -offset
         details["raw_statistics"] = l_values - offset
-    return _spread_report("PermDet", tables, l_values, boots, summary, details)
+    return _spread_report("PermDet", tables, l_values, boots, "bootstrap", summary, details)
 
 
 def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
@@ -361,6 +416,39 @@ def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np
     return trace_powers(m, r_max).astype(float) / n
 
 
+def _cyclic_gradients(entries: np.ndarray, p0_inv: np.ndarray, r: int):
+    """Gradients of ``F_j = Tr(M_j^r) / n``, ``M_j = P_j P0^-1``, for a stack of ``P_j``.
+
+    Returns ``dF_j/dP_j`` and ``dF_j/dP0``, each shaped like a table:
+    ``(r/n) (P0^-1 M_j^(r-1))^T`` and ``-(r/n) (P0^-1 M_j^r)^T``.
+    """
+    n = p0_inv.shape[0]
+    m = entries @ p0_inv
+    a = p0_inv @ np.linalg.matrix_power(m, r - 1)
+    return (r / n) * np.swapaxes(a, -1, -2), -(r / n) * np.swapaxes(a @ m, -1, -2)
+
+
+def _cyclic_bootstrap(tables, p0, r: int, resamples: int, seed: int, details: dict):
+    """(members x resamples) order-``r`` fidelities of resampled members and reference.
+
+    One inverse per reference draw, shared by every member; a singular draw
+    has none and leaves NaN statistics, which ``_verdict`` reports.
+    """
+    p0_draws = resample_cells(p0, resamples, seed)
+    regular = np.isfinite(log_abs_det_many(p0_draws))
+    p0_inv = np.full_like(p0_draws, np.nan)
+    p0_inv[regular] = np.linalg.inv(p0_draws[regular])
+    if not regular.all():
+        details["inconclusive_reason"] = "singular reference draws: " + ", ".join(
+            map(str, np.flatnonzero(~regular))
+        )
+    n = p0.entries.shape[0]
+    boots = np.empty((len(tables), resamples))
+    for j, t in enumerate(tables):
+        boots[j] = trace_powers(resample_cells(t, resamples, seed) @ p0_inv, r)[:, r - 1] / n
+    return boots
+
+
 def cyclic_fidelity_test(
     tables: list[ProbabilityTable],
     p0: ProbabilityTable,
@@ -375,6 +463,13 @@ def cyclic_fidelity_test(
     All orders ``r = 1..n`` are reported; the verdict is based on the
     requested order.  An exact reference that cannot be inverted raises
     :class:`SingularReference`; a sampled one makes the result Inconclusive.
+
+    The finite-shot null is the delta method's.  With ``M_j = P_j P0^-1``,
+    ``dF_j = (r/n) [tr(P0^-1 M_j^(r-1) dP_j) - tr(P0^-1 M_j^r dP0)]``: the
+    ``dP_j`` terms are independent across members, and the ``dP0`` term,
+    shared by all of them, is drawn once per null draw.  A sampled reference
+    whose shot noise reaches ``LINEAR_NULL_LIMIT`` gets the parametric
+    bootstrap instead (see :func:`_cyclic_bootstrap`).
     """
     p0_entries = np.asarray(p0.entries, dtype=float)
     cond = _cond(p0_entries)
@@ -387,32 +482,30 @@ def cyclic_fidelity_test(
     if not 1 <= r <= n:
         raise ValueError(f"r must lie in 1..{n}")
 
-    details: dict = {}
+    details: dict = {"reference_condition": cond}
     boots = None
-    if ill:  # a sampled reference gives no statistic, observed or resampled
+    if ill:  # a sampled reference gives no statistic, observed or null
         details["inconclusive_reason"] = ill
         fid_all = np.full((len(tables), n), np.nan)
         boots = np.full((len(tables), resamples), np.nan)
     else:
         fid_all = _fidelities_observed([t.entries for t in tables], p0_entries, n)
+    method = "delta"
     if not ill and not (p0.is_exact and all(t.is_exact for t in tables)):
-        # one inverse per reference draw, shared by every member; a singular
-        # draw has none and leaves NaN statistics, which _verdict reports
-        p0_draws = resample_cells(p0, resamples, seed)
-        regular = np.isfinite(log_abs_det_many(p0_draws))
-        p0_inv = np.full_like(p0_draws, np.nan)
-        p0_inv[regular] = np.linalg.inv(p0_draws[regular])
-        if not regular.all():
-            details["inconclusive_reason"] = "singular reference draws: " + ", ".join(
-                map(str, np.flatnonzero(~regular))
-            )
-        boots = np.empty((len(tables), resamples))
-        for j, t in enumerate(tables):
-            boots[j] = trace_powers(resample_cells(t, resamples, seed) @ p0_inv, r)[:, r - 1] / n
+        p0_inv = np.linalg.inv(p0_entries)
+        sd0 = _cell_sd([p0])[0]
+        if _linear_size(p0_inv, sd0) >= LINEAR_NULL_LIMIT:
+            method = "bootstrap"
+            boots = _cyclic_bootstrap(tables, p0, r, resamples, seed, details)
+        else:
+            grad, grad_ref = _cyclic_gradients(np.stack([t.entries for t in tables]), p0_inv, r)
+            sigma = np.sqrt(np.sum(grad**2 * _cell_sd(tables) ** 2, axis=(-2, -1)))
+            shared = (grad_ref * sd0).reshape(len(tables), -1)
+            boots = _delta_null(tables, fid_all[:, r - 1], sigma, shared, resamples, seed)
     details["fidelity_by_order"] = {str(k + 1): fid_all[:, k] for k in range(n)}
     details["spread_by_order"] = {str(k + 1): float(np.ptp(fid_all[:, k])) for k in range(n)}
     summary = {"order": r, "reference": p0.label}
-    return _spread_report("CyclicFid", tables, fid_all[:, r - 1], boots, summary, details)
+    return _spread_report("CyclicFid", tables, fid_all[:, r - 1], boots, method, summary, details)
 
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
@@ -471,7 +564,7 @@ def repetition_test(
         with np.errstate(invalid="ignore", divide="ignore"):
             sigma = boots[good].std(axis=1, ddof=1)
             weights = np.where(np.ptp(boots[good], axis=1) == 0, np.inf, 1.0 / sigma**2)
-        ci_low, ci_high = _bootstrap_ci(boots, details)
+        ci_low, ci_high = _null_ci(boots, "bootstrap", details)
 
     x, y = m_values[good], l_values[good]
     unweighted = [lbl for lbl, w in zip(np.array(labels)[good], weights) if not np.isfinite(w)]

@@ -231,8 +231,9 @@ class TestDetPermutationTest:
         assert np.isnan(report.threshold)
         assert report.verdict is Verdict.INCONCLUSIVE
         assert "threshold99" in report.details["inconclusive_reason"]
-        assert report.details["bootstrap"]["resamples"] == 200
-        assert 0 < report.details["bootstrap"]["non_finite_frac"] < 1
+        assert report.details["null"]["method"] == "bootstrap"
+        assert report.details["null"]["draws"] == 200
+        assert 0 < report.details["null"]["non_finite_frac"] < 1
 
     @pytest.mark.parametrize("second", [EYE, TWO], ids=["equal", "log2-apart"])
     def test_zero_width_null_is_inconclusive(self, second):
@@ -268,7 +269,7 @@ class TestCyclicFidelityTest:
         report = cyclic_fidelity_test(tables, p0, r=2)
         assert report.summary["spread"] < 1e-9
         assert report.verdict is Verdict.CONTEXT_INDEPENDENT
-        assert "bootstrap" not in report.details  # exact reports carry no diagnostics
+        assert "null" not in report.details  # exact reports carry no null diagnostics
         # every order is invariant, not just the requested one
         for order in "1234":
             assert report.details["spread_by_order"][order] < 1e-9
@@ -302,23 +303,26 @@ class TestCyclicFidelityTest:
             "reference table condition number "
         )
         assert np.isnan(report.statistics).all() and np.isnan(report.threshold)
-        assert report.details["bootstrap"]["non_finite_frac"] == 1.0
+        assert report.details["null"]["non_finite_frac"] == 1.0
 
     def test_zero_width_null_is_inconclusive(self):
         tables = [one_shot(EYE, "a"), one_shot(CYCLE, "b")]
         report = cyclic_fidelity_test(tables, one_shot(EYE, "ref"), r=2, resamples=100)
         assert report.summary["spread"] == 0.75
         assert report.verdict is Verdict.INCONCLUSIVE
-        assert report.details["inconclusive_reason"].startswith("zero-width bootstrap null")
+        assert report.details["inconclusive_reason"].startswith("zero-width delta null")
 
     def test_rejects_bad_order(self, baseline_model):
         p0 = prob_table(seq("ref"), baseline_model)
         with pytest.raises(ValueError):
             cyclic_fidelity_test([p0], p0, r=5)
 
-    def test_shared_inverse_bootstrap_matches_per_member_solve(self, baseline_model):
+    def test_shared_inverse_bootstrap_matches_per_member_solve(self, baseline_model,
+                                                               monkeypatch):
         """Bootstrap fidelities from one reference inverse per draw agree with
         one solve per member and draw."""
+        # with the bound at 0 every sampled reference takes the bootstrap
+        monkeypatch.setattr(analysis, "LINEAR_NULL_LIMIT", 0.0)
         base = seq("x_i20", GATE_X_PI, *([GATE_IDLE] * 20))
         tables = family_tables(cyclic_family(base), baseline_model, shots=10**5, seed=8)
         p0 = sample_table(prob_table(seq("ref"), baseline_model), 10**5, seed=8)
@@ -335,7 +339,8 @@ class TestCyclicFidelityTest:
         centered = boots - boots.mean(axis=1, keepdims=True)
         null_spread = centered.max(axis=0) - centered.min(axis=0)
         assert report.threshold == pytest.approx(np.percentile(null_spread, 99.0), abs=1e-10)
-        assert report.details["bootstrap"] == {"resamples": 150, "non_finite_frac": 0.0}
+        assert report.details["null"] == {"method": "bootstrap", "draws": 150,
+                                          "non_finite_frac": 0.0}
 
     def test_singular_reference_draw_is_inconclusive(self, baseline_model, monkeypatch):
         tables = [prob_table(seq(lbl, GATE_X_PI, *g), baseline_model)
@@ -359,13 +364,28 @@ class TestCyclicFidelityTest:
         assert report.details["inconclusive_reason"] == "singular reference draws: " + ", ".join(
             str(b) for b in np.flatnonzero(singular)
         )
-        assert report.details["bootstrap"]["non_finite_frac"] == singular.mean()
+        assert report.details["null"]["non_finite_frac"] == singular.mean()
         # regular draws keep their values; singular ones give NaN statistics
         (boots,) = recorded
         assert np.isnan(boots[:, singular]).all()
         for j, t in enumerate(tables):
             m = resample_cells(t, 100, 3)[~singular] @ np.linalg.inv(p0_draws[~singular])
             assert np.array_equal(boots[j, ~singular], trace_powers(m, 2)[:, 1] / 4)
+
+    @pytest.mark.parametrize("shots,method", [(1, "bootstrap"), (4, "bootstrap"), (5, "delta")])
+    def test_noisy_reference_takes_the_bootstrap(self, baseline_model, shots, method):
+        # 0.5 I: ||P0^-1||_2 ||sd(P0)||_F = 2 * 2 sqrt(0.25 / shots), which
+        # reaches the bound 1 at 4 shots and is 0.894 at 5
+        tables = [prob_table(seq(lbl, GATE_X_PI, *g), baseline_model)
+                  for lbl, g in (("x", ()), ("xi", (GATE_IDLE,)))]
+        p0 = ProbabilityTable(np.eye(4) * 0.5, shots, "ref")
+        report = cyclic_fidelity_test(tables, p0, r=2, resamples=100, seed=3)
+        assert report.details["null"]["method"] == method
+
+    def test_reference_condition_is_always_reported(self, baseline_model):
+        p0 = prob_table(seq("ref"), baseline_model)
+        report = cyclic_fidelity_test([p0], p0, r=1)
+        assert report.details["reference_condition"] == pytest.approx(np.linalg.cond(p0.entries))
 
     def test_observed_fidelities_match_exact_arithmetic(self):
         # the refined solve must stay far below the 1e-9 floor even when SPAM
@@ -398,6 +418,96 @@ class TestCyclicFidelityTest:
             [_fidelities_observed([t.entries], p0.entries, 4) for t in tables]
         )
         assert np.array_equal(batched, per_member)
+
+
+def _capture(monkeypatch, name):
+    """Record the arguments of every call of ``analysis.<name>``."""
+    calls = []
+    original = getattr(analysis, name)
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, name, record)
+    return calls
+
+
+def _fd_gradient(f, x, h=1e-7):
+    """Central difference of the scalar ``f`` at ``x``, one cell moved by ``h`` at a time."""
+    grad = np.empty_like(x)
+    for cell in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[cell] = h
+        grad[cell] = (f(x + step) - f(x - step)) / (2 * h)
+    return grad
+
+
+class TestDeltaNull:
+    X_I20 = seq("x_i20", GATE_X_PI, *([GATE_IDLE] * 20))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_cyclic_gradients_match_finite_differences(self, r):
+        model = build_model(make_params(phi=5e-3))
+        entries = np.stack([t.entries for t in family_tables(cyclic_family(self.X_I20), model)])
+        p0 = prob_table(seq("ref"), model).entries
+        grad, grad_ref = analysis._cyclic_gradients(entries, np.linalg.inv(p0), r)
+
+        def fid(p, q):
+            return np.trace(np.linalg.matrix_power(p @ np.linalg.inv(q), r)) / 4
+
+        for j in (0, 7, 20):
+            for analytic, fd in (
+                (grad[j], _fd_gradient(lambda p: fid(p, p0), entries[j])),
+                (grad_ref[j], _fd_gradient(lambda q: fid(entries[j], q), p0)),
+            ):
+                # 1e-5 relative to the gradient's scale: cells near 0 carry the
+                # difference quotient's roundoff (about 1e-9), not its error
+                np.testing.assert_allclose(fd, analytic, rtol=1e-5,
+                                           atol=1e-5 * np.abs(analytic).max())
+
+    def test_cyclic_null_matches_resampled_tables(self, monkeypatch, baseline_model):
+        # sigma_j against the spread of resampled members with the reference
+        # fixed, and the correlation that the shared reference gives two
+        # members against that of resampled members and references
+        tables = family_tables(cyclic_family(self.X_I20), baseline_model, shots=10**5, seed=8)
+        p0 = sample_table(prob_table(seq("ref"), baseline_model), 10**5, seed=8)
+        calls = _capture(monkeypatch, "_delta_null")
+        cyclic_fidelity_test(tables, p0, r=2, resamples=100, seed=8)
+        ((_, _, sigma, shared, _, _),) = calls
+
+        resamples = 4000
+        p0_draws = resample_cells(p0, resamples, 9)
+
+        def fidelity(p, q):
+            return trace_powers(p @ np.linalg.inv(q), 2)[..., 1] / 4
+
+        j, k = 0, 10
+        pj, pk = (resample_cells(tables[i], resamples, 9) for i in (j, k))
+        member_only = fidelity(pj, p0.entries)
+        assert np.std(member_only, ddof=1) == pytest.approx(sigma[j], rel=0.05)
+        fj, fk = fidelity(pj, p0_draws), fidelity(pk, p0_draws)
+        total = np.sqrt(sigma**2 + np.sum(shared**2, axis=1))
+        assert np.std(fj, ddof=1) == pytest.approx(total[j], rel=0.05)
+        expected = shared[j] @ shared[k] / (total[j] * total[k])
+        assert expected > 0.2  # the shared reference matters here
+        assert np.corrcoef(fj, fk)[0, 1] == pytest.approx(expected, abs=0.06)
+
+    def test_null_draws_are_reproducible_and_order_free(self, monkeypatch, baseline_model):
+        tables = family_tables(cyclic_family(self.X_I20), baseline_model, shots=10**4, seed=3)
+        p0 = sample_table(prob_table(seq("ref"), baseline_model), 10**4, seed=3)
+
+        def run(members):
+            return cyclic_fidelity_test(members, p0, r=2, resamples=200, seed=3)
+
+        calls = _capture(monkeypatch, "_null_spread_thresholds")
+        first, again, reversed_ = run(tables), run(tables), run(tables[::-1])
+        (a,), (b,), (c,) = calls
+        assert a.tobytes() == b.tobytes()
+        assert first.to_dict() == again.to_dict()
+        assert a.tobytes() == c[::-1].tobytes()
+        assert reversed_.threshold == first.threshold
+        assert reversed_.details["null"] == first.details["null"]
 
 
 class TestRepetitionTest:
@@ -471,7 +581,8 @@ class TestRepetitionTest:
         reason = report.details["inconclusive_reason"]
         assert reason == "non-finite bootstrap weight for " + ", ".join(expected)
         assert np.isnan(report.threshold) and np.isnan(report.summary["slope"])
-        assert report.details["bootstrap"]["non_finite_frac"] > 0
+        assert report.details["null"]["method"] == "bootstrap"
+        assert report.details["null"]["non_finite_frac"] > 0
 
     def test_zero_sigma_weight_is_inconclusive(self):
         # single-shot 0/1 tables resample to themselves: sigma is 0 and the
@@ -515,7 +626,8 @@ class TestRepetitionTest:
         )
         assert report.threshold == pytest.approx(np.percentile(null_chi2, 99.0), rel=1e-10)
         assert report.summary["p_value"] == np.mean(null_chi2 >= chi2)
-        assert report.details["bootstrap"] == {"resamples": 200, "non_finite_frac": 0.0}
+        assert report.details["null"] == {"method": "bootstrap", "draws": 200,
+                                          "non_finite_frac": 0.0}
 
     @pytest.mark.parametrize("phi", [0.0, 0.005])
     def test_summary_thresholds_bracket_verdict(self, phi):
