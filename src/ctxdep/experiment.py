@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import logging
+from collections.abc import Sequence as AbcSequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence as TypingSequence
 
@@ -68,6 +69,40 @@ class ProbabilityTable:
         return self.shots is None
 
 
+class _LazyMembers(AbcSequence):
+    """A constructor's family members, each built when it is read.
+
+    Holds the labels and a rule ``gates(*args, j)`` for member ``j``'s gate
+    list, so a family of ``L`` members of ``L`` gates keeps O(L) references
+    instead of O(L^2).  It equals, and hashes like, the tuple of its members.
+    """
+
+    __slots__ = ("labels", "_gates", "_args")
+
+    def __init__(self, labels: tuple[str, ...], gates, args: tuple):
+        self.labels, self._gates, self._args = labels, gates, args
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[k] for k in range(len(self))[j])
+        j = range(len(self))[j]  # negative indices and IndexError, as for a tuple
+        return Sequence(gates=self._gates(*self._args, j), label=self.labels[j])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_LazyMembers, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} members {self.labels[0]}..{self.labels[-1]}>"
+
+
 @dataclass(frozen=True)
 class SequenceFamily:
     """A set of related sequences evaluated together by one test.
@@ -77,15 +112,24 @@ class SequenceFamily:
     (members are a block repeated ``m_values[j]`` times).  ``product``, set
     by the constructor that knows the layout, maps a model to the members'
     exact table entries; without it the members are evaluated one by one.
+    The constructors build a member's :class:`Sequence` only when
+    ``members[j]`` is read.
     """
 
-    members: tuple[Sequence, ...]
+    members: TypingSequence[Sequence]
     kind: str
     description: str
     m_values: tuple[int, ...] | None = None
     product: Callable[[TwoQubitModel], list[np.ndarray]] | None = field(
         default=None, compare=False, repr=False
     )
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Member labels, in member order, read without building any member."""
+        if isinstance(self.members, _LazyMembers):
+            return self.members.labels
+        return tuple(seq.label for seq in self.members)
 
 
 def sequence_ptm(seq: Sequence, model: TwoQubitModel) -> np.ndarray:
@@ -169,12 +213,9 @@ def permutation_family(a: GateSpec, b: GateSpec, n: int) -> SequenceFamily:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    members = []
-    for k in range(1, n + 2):
-        gates = (a,) * (n - k + 1) + (b,) * (n - k + 1) + (b, a) * (k - 1)
-        members.append(Sequence(gates=gates, label=f"perm{k:03d}"))
+    labels = tuple(f"perm{k:03d}" for k in range(1, n + 2))
     return SequenceFamily(
-        members=tuple(members),
+        members=_LazyMembers(labels, _permutation_gates, (a, b, n)),
         kind="permutation",
         description=f"rearrangements of {a.label}^{n} {b.label}^{n}",
         product=functools.partial(_permutation_entries, a, b, n),
@@ -205,13 +246,9 @@ def cyclic_family(seq: Sequence) -> SequenceFamily:
     """All rotations of a sequence, ordered by the offset of the rotation."""
     if len(seq) < 1:
         raise ValueError("need a non-empty sequence")
-    length = len(seq)
-    members = []
-    for j in range(length):
-        gates = seq.gates[length - j :] + seq.gates[: length - j]
-        members.append(Sequence(gates=gates, label=f"rot{j:03d}"))
+    labels = tuple(f"rot{j:03d}" for j in range(len(seq)))
     return SequenceFamily(
-        members=tuple(members),
+        members=_LazyMembers(labels, _cyclic_gates, (seq.gates,)),
         kind="cyclic",
         description=f"rotations of {seq.label}",
         product=functools.partial(_cyclic_entries, seq.gates),
@@ -229,16 +266,31 @@ def repetition_family(
         raise ValueError("m values must be strictly increasing")
     block = tuple(block)
     block_label = "".join(g.label for g in block)
-    members = tuple(
-        Sequence(gates=block * m, label=f"{block_label}_m{m:04d}") for m in ms
-    )
+    labels = tuple(f"{block_label}_m{m:04d}" for m in ms)
     return SequenceFamily(
-        members=members,
+        members=_LazyMembers(labels, _repetition_gates, (block, ms)),
         kind="repetition",
         description=f"({block_label})^m",
         m_values=ms,
         product=functools.partial(_repetition_entries, block, ms),
     )
+
+
+def _permutation_gates(a: GateSpec, b: GateSpec, n: int, j: int) -> tuple[GateSpec, ...]:
+    """Gates of member ``j`` (0-based) of :func:`permutation_family`."""
+    return (a,) * (n - j) + (b,) * (n - j) + (b, a) * j
+
+
+def _cyclic_gates(base: tuple[GateSpec, ...], j: int) -> tuple[GateSpec, ...]:
+    """Gates of rotation ``j`` of ``base``: its last ``j`` gates moved to the front."""
+    return base[len(base) - j :] + base[: len(base) - j]
+
+
+def _repetition_gates(
+    block: tuple[GateSpec, ...], ms: tuple[int, ...], j: int
+) -> tuple[GateSpec, ...]:
+    """Gates of member ``j`` of :func:`repetition_family`: the block ``ms[j]`` times."""
+    return block * ms[j]
 
 
 def _permutation_entries(a: GateSpec, b: GateSpec, n: int, model: TwoQubitModel):
@@ -325,8 +377,8 @@ def family_tables(
     if family.product is not None:
         logger.debug("%s: %s-shaped products", family.description, family.kind)
         tables = [
-            ProbabilityTable(entries=e, shots=None, label=seq.label)
-            for e, seq in zip(family.product(model), family.members)
+            ProbabilityTable(entries=e, shots=None, label=label)
+            for e, label in zip(family.product(model), family.labels)
         ]
     else:
         logger.debug("%s: per-member sequence_ptm", family.description)

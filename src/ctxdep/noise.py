@@ -15,6 +15,7 @@ own dose of coupling and decoherence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -130,6 +131,18 @@ def rotation_generator(gate: GateSpec, basis: OperatorBasis) -> np.ndarray:
     return hamiltonian_generator(h, basis)
 
 
+@functools.lru_cache(maxsize=64)
+def _ideal_generator(gate: GateSpec, basis: OperatorBasis) -> np.ndarray:
+    """:func:`rotation_generator`, built once per gate and basis and read-only.
+
+    It depends on neither the coupling nor the decay rates, so every model
+    shares it.
+    """
+    generator = rotation_generator(gate, basis)
+    generator.flags.writeable = False
+    return generator
+
+
 def ising_generator(coupling: float, basis: OperatorBasis) -> np.ndarray:
     """Generator of the ZZ interaction ``rho -> -i[(J/2) Z(x)Z, rho]``."""
     if not math.isfinite(coupling):
@@ -148,7 +161,7 @@ def _gate_matrix(gate: GateSpec, t_gate: float, basis: OperatorBasis, generators
         raise UnknownGate(f"not a gate instruction: {gate!r}")
     stretch = gate.duration * t_gate
     ising, dissipator = generators
-    return matexp(rotation_generator(gate, basis) + stretch * ising + stretch * dissipator)
+    return matexp(_ideal_generator(gate, basis) + stretch * ising + stretch * dissipator)
 
 
 def noisy_gate(gate: GateSpec, params: NoiseParams, basis: OperatorBasis) -> np.ndarray:

@@ -17,6 +17,7 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -65,11 +66,12 @@ class NegativeRate(ValueError):
     """A decoherence rate was negative."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """Ordered Hermitian operator basis with ``Tr(P_n P_m) = d*delta_nm``.
 
-    ``elements[0]`` is always the identity.
+    ``elements[0]`` is always the identity.  Instances compare and hash by
+    identity, so per-basis results can be cached.
     """
 
     dim: int
@@ -86,13 +88,28 @@ class OperatorBasis:
     def size(self) -> int:
         return self.dim**2
 
+    @functools.cached_property
+    def vec_columns(self) -> np.ndarray:
+        """Change-of-basis matrix whose column ``m`` is the row-major ``vec(P_m)``.
 
+        Built on first use and read-only.
+        """
+        return _read_only(np.stack([p.ravel() for p in self.elements], axis=1))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=None)
 def pauli_basis(num_qubits: int) -> OperatorBasis:
     """Tensor-product Pauli basis for ``num_qubits`` qubits.
 
     Elements come in lexicographic order over the strings (I, X, Y, Z) with
     the all-identity string first, normalized so ``Tr(P_n P_m) = d*delta_nm``
     with ``d = 2**num_qubits`` (bare Pauli strings already satisfy this).
+    Built once per ``num_qubits`` and shared, so its arrays are read-only.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
@@ -101,18 +118,13 @@ def pauli_basis(num_qubits: int) -> OperatorBasis:
         op = np.array([[1.0 + 0.0j]])
         for c in combo:
             op = np.kron(op, _SINGLE_QUBIT_PAULIS[c])
-        elements.append(op)
+        elements.append(_read_only(op))
     return OperatorBasis(dim=2**num_qubits, elements=tuple(elements))
-
-
-def _vec_columns(basis: OperatorBasis) -> np.ndarray:
-    """Change-of-basis matrix whose column ``m`` is the row-major ``vec(P_m)``."""
-    return np.stack([p.ravel() for p in basis.elements], axis=1)
 
 
 def vectorize_state(rho: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Expansion coordinates ``Tr(P_m rho) / sqrt(d)`` of a density operator."""
-    coords = _vec_columns(basis).conj().T @ np.ravel(rho)
+    coords = basis.vec_columns.conj().T @ np.ravel(rho)
     return coords.real / np.sqrt(basis.dim)
 
 
@@ -152,7 +164,7 @@ def _superop_to_ptm(superop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
 
     Entry ``(n, m)`` is ``Tr[P_n L(P_m)] / d``, checked for realness as in :func:`ptm_of_map`.
     """
-    v = _vec_columns(basis)
+    v = basis.vec_columns
     out = v.conj().T @ superop @ v / basis.dim
     worst = np.abs(out.imag).max()
     if worst > 1e-9:
@@ -308,6 +320,6 @@ def choi_matrix(ptm: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     # V S V^T holds sum_nm S_nm P_n[a, b] P_m[e, c] at ((a, b), (e, c)); the
     # Kronecker product wants it at ((a, c), (b, e)).
     d = basis.dim
-    v = _vec_columns(basis)
+    v = basis.vec_columns
     w = (v @ ptm @ v.T).reshape(d, d, d, d)
     return w.transpose(0, 3, 1, 2).reshape(basis.size, basis.size) / basis.size

@@ -810,6 +810,39 @@ class TestCpWitness:
             cp_witness([0], [1.0])
 
 
+class TestPercentiles:
+    """``_percentiles`` must reproduce ``np.percentile`` byte for byte."""
+
+    @staticmethod
+    def _stack(rng, n):
+        rows = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-6, 6, size=(7, 1))
+        rows[1, rng.integers(n)] = -np.inf
+        rows[2, rng.integers(n)] = np.inf
+        rows[3, rng.integers(n)] = np.nan
+        rows[4, :] = rows[4, 0]  # all equal
+        rows[5, :] = -np.inf
+        rows[6, rng.integers(n, size=2)] = (-np.inf, np.inf)
+        return rows
+
+    @pytest.mark.parametrize("q", [[2.5, 97.5], [95.0, 99.0]], ids=["ci", "thresholds"])
+    def test_matches_numpy_bytes(self, q):
+        rng = np.random.default_rng(15)
+        with np.errstate(invalid="ignore"):  # inf rows make inf - inf, as in numpy
+            for n in range(1, 701):
+                rows = self._stack(rng, n)
+                got = analysis._percentiles(rows, q)
+                assert got.tobytes() == np.percentile(rows, q, axis=1).tobytes(), n
+                row = rows[n % len(rows)]  # every kind of row, about 100 times each
+                got = analysis._percentiles(row, q)
+                assert got.tobytes() == np.percentile(row, q).tobytes(), (n, row)
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3.0, -1.0, np.nan, 2.0])
+        before = values.tobytes()
+        assert np.isnan(analysis._percentiles(values, [50.0])).all()
+        assert values.tobytes() == before
+
+
 class TestBootstrapCi:
     def test_exact_table_zero_width(self, baseline_model):
         table = prob_table(seq("x", GATE_X_PI), baseline_model)

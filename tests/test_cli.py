@@ -626,11 +626,14 @@ def test_volume_without_finite_member_names_none():
     assert np.isnan(volume.statistics).all()
 
 
-# Loaded only by what an exact run or `validate` never does: scipy is a test
-# dependency, numpy.random and hashlib (OpenSSL, via secrets/hmac too) serve
-# sampling, and fractions/decimal served gate labels.
-UNUSED_MODULES = ("scipy", "numpy.random", "hashlib", "_hashlib", "secrets", "decimal",
-                  "fractions")
+# Loaded by no run: scipy is a test dependency, and numpy.ma comes with
+# np.percentile (through np.unique), which the tests' quantiles avoid.
+NEVER_LOADED = ("scipy", "numpy.ma")
+# Loaded only by what an exact run or `validate` never does: numpy.random and
+# hashlib (OpenSSL, via secrets/hmac too) serve sampling, and fractions/decimal
+# served gate labels.
+UNUSED_MODULES = NEVER_LOADED + ("numpy.random", "hashlib", "_hashlib", "secrets", "decimal",
+                                 "fractions")
 # Loaded only once a run needs them: `import ctxdep`, the CLI module and
 # `validate` need no numerical layer.
 NUMERICAL_MODULES = ("numpy", "ctxdep.ptm", "ctxdep.noise", "ctxdep.experiment",
@@ -638,7 +641,7 @@ NUMERICAL_MODULES = ("numpy", "ctxdep.ptm", "ctxdep.noise", "ctxdep.experiment",
 
 FOOTPRINT_CHILD = """
 import json, sys
-setup_names, run_names, runs = json.loads(sys.argv[1])
+setup_names, runs = json.loads(sys.argv[1])
 def loaded(names):
     return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
 calls = {"build_model": 0, "run_scenario": 0}
@@ -660,7 +663,7 @@ def counting(name, original):
 for name in calls:
     setattr(ctxdep.cli, name, counting(name, getattr(ctxdep.cli, name)))
 record("validate", setup_names, ctxdep.cli.main(["validate"]))
-for name, argv in runs:
+for name, argv, run_names in runs:
     record(name, run_names, ctxdep.cli.main(argv))
 print(json.dumps(found))
 """
@@ -675,27 +678,32 @@ def _python_child(args, **env_vars):
 
 def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     # one subprocess guards the import path: importing the package and the CLI
-    # and validating load no numerical layer, and exact runs of each family
-    # shape none of UNUSED_MODULES; every run builds its model through
-    # `ctxdep.cli.build_model`, once per phi, and runs through `run_scenario`
+    # and validating load no numerical layer, exact runs of each family shape
+    # none of UNUSED_MODULES, and the sampled runs that follow them none of
+    # NEVER_LOADED; every run builds its model through `ctxdep.cli.build_model`,
+    # once per phi, and runs through `run_scenario`
     configs = {
         "permutation": 'family = permutation\ngates = "I X_pi"\nn = 3\n',
         "cyclic": 'family = cyclic\ngates = "X_pi I*5"\n',
         "repetition": 'family = repetition\ngates = "X_pi"\nm_values = [0, 2, 4, 6]\n',
     }
+    jobs = [(family, family, "exact", UNUSED_MODULES) for family in configs]
+    jobs += [(f"{family} sampled", family, "1000", NEVER_LOADED)
+             for family in ("cyclic", "repetition")]
     runs = []
-    for name, body in configs.items():
+    for name, family, shots, names in jobs:
         path = tmp_path / f"{name}.cfg"
-        path.write_text(f"scenario = custom\nshots = exact\nphi_values = [0, 0.005]\n{body}")
-        runs.append((name, ["run", "--config", str(path), "--out", str(tmp_path / name)]))
-    names = [UNUSED_MODULES + NUMERICAL_MODULES, UNUSED_MODULES, runs]
+        path.write_text(f"scenario = custom\nshots = {shots}\nphi_values = [0, 0.005]\n"
+                        f"{configs[family]}")
+        runs.append((name, ["run", "--config", str(path), "--out", str(tmp_path / name)], names))
+    names = [UNUSED_MODULES + NUMERICAL_MODULES, runs]
     out = _python_child(["-c", FOOTPRINT_CHILD, json.dumps(names)])
     assert out.returncode == 0, out.stderr
     found = json.loads(out.stdout.strip().splitlines()[-1])
     idle = {"loaded": [], "calls": {"build_model": 0, "run_scenario": 0}}
     ran = {"loaded": [], "calls": {"build_model": 2, "run_scenario": 1}}
     assert found == {"import ctxdep": idle, "import ctxdep.cli": idle, "validate": idle,
-                     **{name: ran for name, _ in runs}}
+                     **{name: ran for name, _, _ in runs}}
 
 
 def test_package_names_are_their_modules_objects():

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,60 @@ class TestFamilies:
     def test_repetition_requires_increasing_m(self):
         with pytest.raises(ValueError):
             repetition_family([GATE_X_PI], [0, 5, 5])
+
+
+class TestMembersBuiltWhenRead:
+    """The constructors keep labels and build a member's gates when it is read."""
+
+    CYCLIC_BASE = seq("x_i500", GATE_X_PI, *([GATE_IDLE] * 500))
+
+    @staticmethod
+    def _peak_bytes(build):
+        tracemalloc.start()
+        try:
+            family = build()
+            return tracemalloc.get_traced_memory()[1], family
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("build", [
+        lambda: cyclic_family(TestMembersBuiltWhenRead.CYCLIC_BASE),
+        lambda: permutation_family(GATE_IDLE, GATE_X_PI, 250),
+    ], ids=["cyclic-501", "permutation-250"])
+    def test_full_scale_family_allocates_little(self, build):
+        # a tuple of every member's gates takes 2.1 MB (cyclic) and 1.06 MB (permutation)
+        peak, family = self._peak_bytes(build)
+        assert peak < 200_000
+        assert family.labels == tuple(m.label for m in family.members)
+
+    def test_members_follow_the_constructor_formulas(self):
+        a, b, n = GATE_IDLE, GATE_X_PI, 4
+        perm = permutation_family(a, b, n)
+        expected = [(a,) * (n - j) + (b,) * (n - j) + (b, a) * j for j in range(n + 1)]
+        base = self.CYCLIC_BASE.gates
+        rot = cyclic_family(self.CYCLIC_BASE)
+        rotations = [base[len(base) - j :] + base[: len(base) - j] for j in range(len(base))]
+        block = (GATE_X_HALF, GATE_IDLE)
+        rep = repetition_family(block, [0, 3, 7])
+        repeated = [(), block * 3, block * 7]
+        for family, gates in ((perm, expected), (rot, rotations), (rep, repeated)):
+            assert [m.gates for m in family.members] == gates
+            assert family.members[-1] == family.members[len(gates) - 1]
+            assert family.members[-len(gates)].gates == gates[0]
+            with pytest.raises(IndexError):
+                family.members[len(gates)]
+        assert perm.members[-1].label == f"perm{n + 1:03d}"
+        assert rot.members[-1].label == "rot500"
+
+    def test_equal_to_the_same_members_in_a_tuple(self):
+        family = cyclic_family(seq("abc", GATE_IDLE, GATE_X_PI, GATE_X_HALF))
+        members = tuple(family.members)
+        assert family.members == members and members == family.members
+        assert hash(family.members) == hash(members)
+        hand_built = SequenceFamily(members=members, kind="cyclic",
+                                    description=family.description)
+        assert hand_built == family and hash(hand_built) == hash(family)
+        assert hand_built.product is None  # so family_tables goes member by member
 
 
 class TestCsvRoundTrip:

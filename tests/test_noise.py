@@ -329,6 +329,19 @@ class TestBuildModel:
         assert np.array_equal(model.gate_ptm(gate), noisy_gate(gate, params, model.basis))
         assert len(calls) == 2  # the second one is noisy_gate's own
 
+    def test_fixed_parts_are_shared_and_read_only(self):
+        # the basis, its change-of-basis matrix and the ideal rotation generators
+        # depend on neither phi nor the rates: every model shares one copy
+        first = build_model(make_params(phi=0.0))
+        second = build_model(make_params(phi=0.005, gamma1=1e4))
+        assert first.basis is second.basis is pauli_basis(2)
+        generator = ctxdep.noise._ideal_generator(GATE_X_PI, first.basis)
+        assert ctxdep.noise._ideal_generator(GATE_X_PI, second.basis) is generator
+        assert np.array_equal(generator, rotation_generator(GATE_X_PI, BASIS2))
+        for array in (*first.basis.elements, first.basis.vec_columns, generator):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
 
 class TestDistortSpam:
     def test_identity_distortion_is_noop(self, baseline_model):
