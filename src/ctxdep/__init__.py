@@ -10,103 +10,41 @@ unitarity and divisibility measures).  :mod:`ctxdep.gates` holds the gate
 instructions they share.  :mod:`ctxdep.cli` drives preset scenarios from flat
 config files, which :mod:`ctxdep.config` parses and validates.
 
-The names below are re-exported from their layers on first access (PEP 562),
-so ``import ctxdep`` and the config and CLI modules load no numpy; a layer is
-imported when one of its names is first used.
+The package exports the names in the ``__all__`` of gates, ptm, noise,
+experiment and analysis, and resolves them on first access (PEP 562) by
+looking through those layers in that order: ``import ctxdep`` and the config
+and CLI modules load no numpy, and a name loads only its own layer and the
+ones before it, so the gate names load no numpy either.  ``__all__``, and
+with it ``dir`` and ``from ctxdep import *``, loads every layer.
 """
 
 import importlib
 
-_EXPORTS = {
-    "analysis": (
-        "CalibrationMatrices",
-        "IllConditioned",
-        "NotTracePreserving",
-        "SingularReference",
-        "TestReport",
-        "Verdict",
-        "accessible_volume",
-        "bootstrap_ci",
-        "calibration_from_states_effects",
-        "cp_witness",
-        "cyclic_fidelity_test",
-        "det_permutation_test",
-        "ideal_calibration",
-        "raw_estimate",
-        "repetition_test",
-        "unitarity_tilde",
-        "unitarity_u",
-    ),
-    "experiment": (
-        "ProbabilityTable",
-        "Sequence",
-        "SequenceFamily",
-        "cyclic_family",
-        "family_tables",
-        "permutation_family",
-        "prob_table",
-        "random_permutation_family",
-        "read_table_csv",
-        "repetition_family",
-        "sample_table",
-        "sequence_ptm",
-        "write_table_csv",
-    ),
-    "gates": (
-        "GATE_IDLE",
-        "GATE_X_HALF",
-        "GATE_X_MINUS_HALF",
-        "GATE_X_PI",
-        "GATE_Y_MINUS_HALF",
-        "GATE_Y_PI",
-        "IDEAL_GATE_SET",
-        "GateSpec",
-    ),
-    "noise": (
-        "NoiseParams",
-        "TwoQubitModel",
-        "UnknownGate",
-        "build_model",
-        "distort_spam",
-        "gate_unitary",
-        "initial_state",
-        "ising_generator",
-        "measurement_effect",
-        "noisy_gate",
-    ),
-    "ptm": (
-        "NegativeRate",
-        "NonHermitianInput",
-        "NonRealEntry",
-        "OperatorBasis",
-        "choi_matrix",
-        "dissipator_generator",
-        "hamiltonian_generator",
-        "log_abs_det",
-        "matexp",
-        "pauli_basis",
-        "ptm_of_map",
-        "trace_powers",
-        "vectorize_effect",
-        "vectorize_state",
-    ),
-}
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
+
+_SUBMODULES = ("gates", "ptm", "noise", "experiment", "analysis", "config", "cli")
+_LAYERS = _SUBMODULES[:5]  # each imports only the layers before it
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # `ctxdep.noise` after a bare `import ctxdep`
-        return importlib.import_module(f".{name}", __name__)
-    module = _SOURCE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    if name in _SUBMODULES:  # `ctxdep.noise` after a bare `import ctxdep`
+        return _module(name)
+    if name == "__all__":
+        value = sorted({n for layer in _LAYERS for n in _module(layer).__all__})
+    else:
+        # a private name such as a `__wrapped__` probe imports nothing
+        home = None if name.startswith("_") else next(
+            (m for m in map(_module, _LAYERS) if name in m.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value  # later lookups skip this hook
     return value
 
 
+def _module(name: str):
+    return importlib.import_module(f".{name}", __name__)
+
+
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

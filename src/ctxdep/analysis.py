@@ -34,7 +34,8 @@ import numpy as np
 
 from . import experiment
 from .experiment import ProbabilityTable, resample_cells
-from .noise import IDEAL_GATE_SET, gate_unitary
+from .gates import IDEAL_GATE_SET
+from .noise import gate_unitary
 from .ptm import (
     log_abs_det,
     log_abs_det_many,

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Sequence as TypingSequence
 
 import numpy as np
 
-from .noise import GateSpec, TwoQubitModel, UnknownGate
-from .rng import substream
+from .gates import GateSpec
+from .noise import TwoQubitModel, UnknownGate
 
 __all__ = [
     "Sequence",
@@ -152,6 +152,24 @@ def table_from_ptm(ptm: np.ndarray, model: TwoQubitModel, label: str) -> Probabi
 def prob_table(seq: Sequence, model: TwoQubitModel) -> ProbabilityTable:
     """Exact probability table of a sequence under the model."""
     return table_from_ptm(sequence_ptm(seq, model), model, seq.label)
+
+
+def substream(seed: int, *tags) -> np.random.Generator:
+    """Return a Generator whose stream depends only on ``(seed, *tags)``.
+
+    The key is derived by hashing the seed together with the tags, and feeds
+    a counter-based Philox bit generator.  Two calls with the same arguments
+    therefore produce identical streams no matter how many other substreams
+    were created in between, which makes every sampled quantity independent
+    of evaluation order and safe to recompute in parallel.
+    """
+    # only sampled runs draw, so numpy.random and hashlib (and OpenSSL behind
+    # it) load on the first call, not with this module
+    import hashlib
+
+    payload = "\x1f".join([str(int(seed))] + [str(t) for t in tags]).encode("utf-8")
+    key = int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_table(table: ProbabilityTable, shots: int, seed: int) -> ProbabilityTable:

@@ -21,16 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gates import (  # re-exported: the gate vocabulary lives in ctxdep.gates
-    GATE_IDLE,
-    GATE_X_HALF,
-    GATE_X_MINUS_HALF,
-    GATE_X_PI,
-    GATE_Y_MINUS_HALF,
-    GATE_Y_PI,
-    IDEAL_GATE_SET,
-    GateSpec,
-)
+from .gates import IDEAL_GATE_SET, GateSpec
 from .ptm import (
     PAULI_I,
     PAULI_X,
@@ -48,14 +39,6 @@ from .ptm import (
 __all__ = [
     "UnknownGate",
     "NoiseParams",
-    "GateSpec",
-    "GATE_IDLE",
-    "GATE_X_PI",
-    "GATE_X_HALF",
-    "GATE_X_MINUS_HALF",
-    "GATE_Y_PI",
-    "GATE_Y_MINUS_HALF",
-    "IDEAL_GATE_SET",
     "gate_unitary",
     "ising_generator",
     "rotation_generator",

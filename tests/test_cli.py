@@ -637,7 +637,7 @@ UNUSED_MODULES = NEVER_LOADED + ("numpy.random", "hashlib", "_hashlib", "secrets
 # Loaded only once a run needs them: `import ctxdep`, the CLI module and
 # `validate` need no numerical layer.
 NUMERICAL_MODULES = ("numpy", "ctxdep.ptm", "ctxdep.noise", "ctxdep.experiment",
-                     "ctxdep.analysis", "ctxdep.rng")
+                     "ctxdep.analysis")
 
 FOOTPRINT_CHILD = """
 import json, sys
@@ -652,6 +652,11 @@ def record(step, names, status=0):
     calls.update(dict.fromkeys(calls, 0))
 import ctxdep
 record("import ctxdep", setup_names)
+# submodules and gate names resolve through the package, and private probes
+# import nothing
+from ctxdep import cli, config, GateSpec, GATE_X_PI
+assert not hasattr(ctxdep, "__wrapped__") and getattr(ctxdep, "_x", None) is None
+record("package names", setup_names)
 import ctxdep.cli
 record("import ctxdep.cli", setup_names)
 # the run loop must look both names up on the CLI module, where a tracer wraps them
@@ -702,8 +707,19 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     found = json.loads(out.stdout.strip().splitlines()[-1])
     idle = {"loaded": [], "calls": {"build_model": 0, "run_scenario": 0}}
     ran = {"loaded": [], "calls": {"build_model": 2, "run_scenario": 1}}
-    assert found == {"import ctxdep": idle, "import ctxdep.cli": idle, "validate": idle,
-                     **{name: ran for name, _, _ in runs}}
+    assert found == {"import ctxdep": idle, "package names": idle, "import ctxdep.cli": idle,
+                     "validate": idle, **{name: ran for name, _, _ in runs}}
+
+
+def test_package_exports_each_layers_all():
+    # the layers' own __all__ are the only lists of the package's names
+    import ctxdep
+
+    layers = [importlib.import_module(f"ctxdep.{name}")
+              for name in ("gates", "ptm", "noise", "experiment", "analysis")]
+    assert ctxdep.__all__ == sorted(set().union(*(module.__all__ for module in layers)))
+    with pytest.raises(ImportError):
+        from ctxdep import no_such_name  # noqa: F401
 
 
 def test_package_names_are_their_modules_objects():

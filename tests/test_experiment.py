@@ -28,8 +28,7 @@ from ctxdep import (
     write_table_csv,
 )
 from ctxdep.cli import _build_families, parse_config
-from ctxdep.experiment import resample_cells, table_from_ptm
-from ctxdep.rng import substream
+from ctxdep.experiment import resample_cells, substream, table_from_ptm
 
 from .conftest import GAMMA_SUM, T_GATE, make_params
 
