@@ -79,16 +79,13 @@ def _spam_map(rng, cond: float) -> np.ndarray:
 
 
 def _linear_size(tables) -> float:
-    sizes = []
-    for t in tables:
-        p = np.clip(t.entries, 0.0, 1.0)
-        sd = np.sqrt(p * (1.0 - p) / t.shots)
-        try:
-            inv = np.linalg.inv(t.entries)
-        except np.linalg.LinAlgError:
-            return math.inf
-        sizes.append(np.linalg.norm(inv, 2) * np.linalg.norm(sd))
-    return float(max(sizes))
+    from ctxdep import analysis
+
+    try:
+        return max(analysis._linear_size(np.linalg.inv(t.entries), sd)
+                   for t, sd in zip(tables, analysis._cell_sd(tables)))
+    except np.linalg.LinAlgError:
+        return math.inf
 
 
 def _finite(value):
@@ -103,7 +100,8 @@ class _Exact:
 
     def tables(self, test: str, phi: float, cond, seed: int):
         from ctxdep import experiment, noise
-        from ctxdep.cli import _build_families, _reference_table, parse_config
+        from ctxdep.cli import _reference_table
+        from ctxdep.config import parse_config
 
         cfg = parse_config(f"scenario = {TESTS[test]}\n")
         key = (test, phi)
@@ -114,7 +112,7 @@ class _Exact:
             rng = np.random.default_rng([seed, cond])
             model = noise.distort_spam(model, _spam_map(rng, math.sqrt(cond)),
                                        _spam_map(rng, math.sqrt(cond)))
-        (family,) = _build_families(cfg)
+        (family,) = cfg.families()
         return experiment.family_tables(family, model), _reference_table(cfg, model)
 
 

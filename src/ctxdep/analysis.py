@@ -77,6 +77,8 @@ CONDITION_LIMIT = 1e6
 # reference table whose ||P^-1||_2 ||sd(P)||_F reaches this bound has shot noise
 # too large for the delta-method null, and the cyclic test resamples instead.
 LINEAR_NULL_LIMIT = 1.0
+# Largest deviation from (1, 0, ..., 0) that unitarity_u accepts in a first row.
+TRACE_PRESERVING_TOL = 1e-8
 
 
 class IllConditioned(ValueError):
@@ -636,7 +638,7 @@ def repetition_test(
                    (ci_low, ci_high), summary, details)
 
 
-def unitarity_u(ptm: np.ndarray, tol: float = 1e-8) -> float:
+def unitarity_u(ptm: np.ndarray) -> float:
     """Average-purity unitarity ``Tr(W^T W) / (d^2 - 1)``.
 
     ``W`` is the unital block of the transfer matrix (first row and column
@@ -645,7 +647,7 @@ def unitarity_u(ptm: np.ndarray, tol: float = 1e-8) -> float:
     g = np.asarray(ptm, dtype=float)
     first = np.zeros(g.shape[1])
     first[0] = 1.0
-    if np.max(np.abs(g[0] - first)) > tol:
+    if np.max(np.abs(g[0] - first)) > TRACE_PRESERVING_TOL:
         raise NotTracePreserving("first row must be (1, 0, ..., 0)")
     w = g[1:, 1:]
     return float(np.trace(w.T @ w) / (g.shape[0] - 1))

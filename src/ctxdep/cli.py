@@ -27,59 +27,15 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
-from .config import (  # also re-exported: `from ctxdep.cli import parse_config` works
-    SCENARIOS,
-    ConfigError,
-    RunConfig,
-    _phi_dir_name,
-    load_config,
-    parse_config,
-    parse_gate_string,
-    parse_gate_token,
-    set_key,
-    validate,
-)
-from .gates import GATE_IDLE, GATE_X_HALF, GATE_X_MINUS_HALF, GATE_X_PI, GATE_Y_PI
+from .config import ConfigError, RunConfig, _phi_dir_name, load_config, set_key, validate
 
 if TYPE_CHECKING:
     from . import analysis, experiment
     from .noise import NoiseParams, TwoQubitModel
 
-__all__ = ["RunConfig", "parse_config", "load_config", "validate", "run_scenario", "main"]
+__all__ = ["run_scenario", "main"]
 
 logger = logging.getLogger(__name__)
-
-# Display grids for the repetition scenarios (composite blocks double the
-# per-member gate count, hence the shorter grid).
-FIG3A_M_VALUES = tuple(range(0, 501, 50))
-FIG3B_M_VALUES = tuple(range(0, 251, 25))
-
-
-def _build_families(cfg: RunConfig) -> list[experiment.SequenceFamily]:
-    from . import experiment
-
-    if cfg.scenario == "fig2a":
-        return [experiment.permutation_family(GATE_IDLE, GATE_X_PI, 250)]
-    if cfg.scenario == "fig2b":
-        base = experiment.Sequence(
-            gates=(GATE_X_PI,) + (GATE_IDLE,) * 500, label="X_pi_I500"
-        )
-        return [experiment.cyclic_family(base)]
-    if cfg.scenario == "fig3a":
-        return [experiment.repetition_family([GATE_IDLE], FIG3A_M_VALUES)]
-    if cfg.scenario == "fig3b":
-        return [
-            experiment.repetition_family(block, FIG3B_M_VALUES) for block in FIG3B_BLOCKS
-        ]
-    if cfg.family == "permutation":
-        return [experiment.permutation_family(cfg.gates[0], cfg.gates[1], cfg.n)]
-    if cfg.family == "cyclic":
-        label = "".join(g.label for g in cfg.gates)
-        return [experiment.cyclic_family(experiment.Sequence(cfg.gates, label))]
-    return [experiment.repetition_family(list(cfg.gates), cfg.m_values)]
-
-
-FIG3B_BLOCKS = ((GATE_X_PI,), (GATE_X_PI, GATE_Y_PI), (GATE_X_MINUS_HALF, GATE_X_HALF))
 
 
 def _sanitize(label: str) -> str:
@@ -281,7 +237,7 @@ def run_scenario(cfg: RunConfig) -> int:
     from . import analysis
 
     cal = analysis.ideal_calibration()
-    families = _build_families(cfg)
+    families = cfg.families()
     os.makedirs(cfg.output_dir, exist_ok=True)
     any_dependent = False
     writer = _Writer()
@@ -354,7 +310,7 @@ def main(argv=None) -> int:
                   f"phi_values={list(cfg.resolved_phi_values())} seed={cfg.seed}")
             return 0
         return run_scenario(cfg)
-    except (ConfigError, ValueError, OSError, ImportError) as exc:  # run without numpy
+    except (ConfigError, ValueError, OSError, ImportError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,11 @@
-"""Run configuration: the flat ``key = value`` format, gate strings, validation.
+"""Run configuration: the scenarios, the flat ``key = value`` format, gate strings, validation.
 
-One table, :data:`KEYS`, says for each config key which ``RunConfig``
-attribute it sets, what kind of value it takes and within which bounds.
-:func:`set_key` applies a row to a value's text; ``parse_config`` calls it for
-each config line and the CLI for each override flag, so a flag and its key are
-checked alike.  ``validate`` runs the checks that involve several keys, once
-any command-line overrides are applied.
+:data:`SCENARIOS` says what each scenario runs.  One table, :data:`KEYS`,
+says for each config key which ``RunConfig`` attribute it sets, what kind of
+value it takes and within which bounds.  :func:`set_key` applies a row to a
+value's text; ``parse_config`` calls it for each config line and the CLI for
+each override flag, so a flag and its key are checked alike.  ``validate``
+runs the checks that involve several keys, once any overrides are applied.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .gates import GateSpec
+from .gates import GATE_IDLE, GATE_X_HALF, GATE_X_MINUS_HALF, GATE_X_PI, GATE_Y_PI, GateSpec
 
 if TYPE_CHECKING:
+    from .experiment import SequenceFamily
     from .noise import NoiseParams
 
 __all__ = [
@@ -33,14 +34,18 @@ __all__ = [
     "load_config",
 ]
 
-DEFAULT_PHI = {
-    "fig2a": (0.0, 0.001, 0.005),
-    "fig2b": (0.0, 0.001, 0.005),
-    "fig3a": (0.0, 0.005, 0.01, 0.02),
-    "fig3b": (0.0, 0.005),
-    "custom": (0.0,),
+# scenario -> (default coupling angles, families as (kind, gates, size)), where size is
+# n for a permutation family, the base label for a cyclic one and the m values for a
+# repetition one; custom's one family comes from its keys
+SCENARIOS = {
+    "fig2a": ((0.0, 0.001, 0.005), (("permutation", (GATE_IDLE, GATE_X_PI), 250),)),
+    "fig2b": ((0.0, 0.001, 0.005), (("cyclic", (GATE_X_PI,) + (GATE_IDLE,) * 500, "X_pi_I500"),)),
+    "fig3a": ((0.0, 0.005, 0.01, 0.02), (("repetition", (GATE_IDLE,), range(0, 501, 50)),)),
+    # composite blocks double a member's gates, hence fig3b's shorter m grid
+    "fig3b": ((0.0, 0.005), tuple(("repetition", block, range(0, 251, 25)) for block in (
+        (GATE_X_PI,), (GATE_X_PI, GATE_Y_PI), (GATE_X_MINUS_HALF, GATE_X_HALF)))),
+    "custom": ((0.0,), ()),
 }
-SCENARIOS = tuple(DEFAULT_PHI)
 
 
 class ConfigError(ValueError):
@@ -81,7 +86,7 @@ class RunConfig:
         return self.gamma1 / 2.0 if self.gamma_phi is None else self.gamma_phi
 
     def resolved_phi_values(self) -> tuple[float, ...]:
-        return self.phi_values if self.phi_values is not None else DEFAULT_PHI[self.scenario]
+        return self.phi_values if self.phi_values is not None else SCENARIOS[self.scenario][0]
 
     def noise_params(self, phi: float) -> NoiseParams:
         from .noise import NoiseParams  # numpy loads only when a run builds a model
@@ -95,6 +100,20 @@ class RunConfig:
             p_ground=self.p_ground,
             eta=self.eta,
         )
+
+    def families(self) -> list[SequenceFamily]:
+        """A preset's families from :data:`SCENARIOS`, custom's from its keys; imports numpy."""
+        from .experiment import Sequence, cyclic_family, permutation_family, repetition_family
+
+        build = {"permutation": lambda gates, n: permutation_family(*gates, n),
+                 "cyclic": lambda gates, label: cyclic_family(Sequence(gates, label)),
+                 "repetition": repetition_family}
+        rows = SCENARIOS[self.scenario][1]
+        if self.scenario == "custom":
+            size = {"permutation": self.n, "cyclic": "".join(g.label for g in self.gates),
+                    "repetition": self.m_values}[self.family]
+            rows = [(self.family, self.gates, size)]
+        return [build[kind](gates, size) for kind, gates, size in rows]
 
 
 _GATE_TOKEN = re.compile(
@@ -164,7 +183,7 @@ class _Key(NamedTuple):
 _INT64_MAX = 2**63 - 1
 
 KEYS = {
-    "scenario": _Key("scenario", SCENARIOS),
+    "scenario": _Key("scenario", tuple(SCENARIOS)),
     "phi_values": _Key("phi_values", "reals", -2 * math.pi, 2 * math.pi),
     "shots": _Key("shots", "shots", 1, _INT64_MAX),
     "seed": _Key("seed", "int"),

@@ -53,6 +53,8 @@ _SINGLE_QUBIT_PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 RAISING = LOWERING.conj().T
 
+IMAG_TOL = 1e-9  # a larger imaginary part of a transfer-matrix entry raises NonRealEntry
+
 
 class NonRealEntry(ValueError):
     """A transfer-matrix entry had a non-negligible imaginary part."""
@@ -133,16 +135,12 @@ def vectorize_effect(effect: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     return vectorize_state(effect, basis)
 
 
-def ptm_of_map(
-    apply_map: Callable[[np.ndarray], np.ndarray],
-    basis: OperatorBasis,
-    imag_tol: float = 1e-9,
-) -> np.ndarray:
+def ptm_of_map(apply_map: Callable[[np.ndarray], np.ndarray], basis: OperatorBasis) -> np.ndarray:
     """Transfer matrix of a linear map given as a black-box action on operators.
 
     Entry ``(n, m)`` is ``Tr[P_n apply_map(P_m)] / d``.  For a
-    Hermiticity-preserving map these are real; residual imaginary parts below
-    ``imag_tol`` are discarded, anything larger raises :class:`NonRealEntry`.
+    Hermiticity-preserving map these are real; residual imaginary parts up to
+    ``IMAG_TOL`` are discarded, anything larger raises :class:`NonRealEntry`.
     """
     size = basis.size
     out = np.empty((size, size))
@@ -150,7 +148,7 @@ def ptm_of_map(
         image = apply_map(p_m)
         for n, p_n in enumerate(basis.elements):
             value = np.trace(p_n @ image) / basis.dim
-            if abs(value.imag) > imag_tol:
+            if abs(value.imag) > IMAG_TOL:
                 raise NonRealEntry(
                     f"entry ({n}, {m}) has imaginary part {value.imag:.3e}; "
                     "the map does not preserve Hermiticity"
@@ -167,7 +165,7 @@ def _superop_to_ptm(superop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     v = basis.vec_columns
     out = v.conj().T @ superop @ v / basis.dim
     worst = np.abs(out.imag).max()
-    if worst > 1e-9:
+    if worst > IMAG_TOL:
         raise NonRealEntry(f"imaginary part {worst:.3e}: map does not preserve Hermiticity")
     return out.real
 

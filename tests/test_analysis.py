@@ -41,7 +41,7 @@ from ctxdep import (
 from ctxdep import analysis
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
 from ctxdep.analysis import _fidelities_observed
-from ctxdep.cli import FIG3A_M_VALUES
+from ctxdep.config import parse_config
 from ctxdep.experiment import resample_cells
 from ctxdep.ptm import log_abs_det_many
 
@@ -632,7 +632,7 @@ class TestRepetitionTest:
     @pytest.mark.parametrize("phi", [0.0, 0.005])
     def test_summary_thresholds_bracket_verdict(self, phi):
         # sampled fig3a: repeated idles at 1e5 shots
-        family = repetition_family([GATE_IDLE], FIG3A_M_VALUES)
+        (family,) = parse_config("scenario = fig3a").families()
         tables = family_tables(family, build_model(make_params(phi=phi)), shots=10**5, seed=1)
         report = repetition_test(tables, family.m_values, ideal_calibration(), resamples=200)
         chi2, thr95, thr99 = (report.summary[k] for k in ("chi2", "threshold95", "threshold99"))

@@ -16,18 +16,25 @@ import pytest
 
 from ctxdep import analysis, read_table_csv
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
-from ctxdep.config import KEYS
-from ctxdep.cli import (
+from ctxdep.cli import _volume_report, _write_atomic, main, run_scenario
+from ctxdep.config import (
+    KEYS,
+    SCENARIOS,
     ConfigError,
-    _volume_report,
-    _write_atomic,
     load_config,
-    main,
     parse_config,
     parse_gate_string,
     parse_gate_token,
-    run_scenario,
     validate,
+)
+from ctxdep.experiment import Sequence, cyclic_family, permutation_family, repetition_family
+from ctxdep.gates import (
+    GATE_IDLE,
+    GATE_X_HALF,
+    GATE_X_MINUS_HALF,
+    GATE_X_PI,
+    GATE_Y_MINUS_HALF,
+    GATE_Y_PI,
 )
 
 
@@ -156,6 +163,49 @@ class TestParseConfig:
     def test_reference_gate_string(self):
         cfg = parse_config('reference = "I I"')
         assert [g.label for g in cfg.reference] == ["I", "I"]
+
+
+class TestScenarios:
+    PRESETS = {
+        "fig2a": ((0.0, 0.001, 0.005),
+                  [("permutation", 251, "rearrangements of I^250 X_pi^250", None)]),
+        "fig2b": ((0.0, 0.001, 0.005), [("cyclic", 501, "rotations of X_pi_I500", None)]),
+        "fig3a": ((0.0, 0.005, 0.01, 0.02),
+                  [("repetition", 11, "(I)^m", tuple(range(0, 501, 50)))]),
+        "fig3b": ((0.0, 0.005), [
+            ("repetition", 11, description, tuple(range(0, 251, 25)))
+            for description in ("(X_pi)^m", "(X_piY_pi)^m", "(X_-pi/2X_pi/2)^m")]),
+    }
+
+    @pytest.mark.parametrize("scenario", PRESETS)
+    def test_preset_grid_and_families(self, scenario):
+        cfg = parse_config(f"scenario = {scenario}")
+        phi, families = self.PRESETS[scenario]
+        assert cfg.resolved_phi_values() == SCENARIOS[scenario][0] == phi
+        assert [(f.kind, len(f.members), f.description, f.m_values)
+                for f in cfg.families()] == families
+
+    def test_scenario_key_takes_the_tables_names(self):
+        assert KEYS["scenario"].kind == tuple(SCENARIOS) == (*self.PRESETS, "custom")
+
+    def test_gate_strings_parse_to_the_gate_constants(self):
+        # a preset written with gate constants equals the same custom gate string
+        assert parse_gate_string("I X_pi X_pi/2 X_-pi/2 Y_pi Y_-pi/2") == (
+            GATE_IDLE, GATE_X_PI, GATE_X_HALF, GATE_X_MINUS_HALF, GATE_Y_PI, GATE_Y_MINUS_HALF)
+
+    @pytest.mark.parametrize("text,expected", [
+        ('family = permutation\ngates = "X_pi Y_pi"\nn = 3\n',
+         lambda: permutation_family(GATE_X_PI, GATE_Y_PI, 3)),
+        ('family = cyclic\ngates = "X_pi I*3 Y_-pi/2"\n',
+         lambda: cyclic_family(Sequence(
+             (GATE_X_PI, GATE_IDLE, GATE_IDLE, GATE_IDLE, GATE_Y_MINUS_HALF), "X_piIIIY_-pi/2"))),
+        ('family = repetition\ngates = "X_pi/2 Y_pi"\nm_values = [0, 1, 2, 5]\n',
+         lambda: repetition_family([GATE_X_HALF, GATE_Y_PI], [0, 1, 2, 5])),
+    ], ids=["permutation", "cyclic", "repetition"])
+    def test_custom_family_is_its_constructors(self, text, expected):
+        cfg = parse_config("scenario = custom\n" + text)
+        validate(cfg)
+        assert cfg.families() == [expected()]
 
 
 class TestRunScenario:
@@ -517,6 +567,15 @@ class TestMain:
         assert main([command, "--config", str(path), *out]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: must lie in [")
 
+    def test_unallocatable_resamples_are_an_error_line(self, tmp_path, capsys):
+        # validate accepts any count; numpy refuses the 114 PiB null draw at once
+        # and allocates nothing, and the run used to end in a traceback
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = fig2a\nshots = 1000\nphi_values = [0]\n"
+                        "bootstrap_resamples = 1000000000000000\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
     def test_shots_at_the_int64_bound_run(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(f"scenario = fig3b\nphi_values = [0.005]\nshots = {2**63 - 1}\n")
@@ -657,6 +716,9 @@ record("import ctxdep", setup_names)
 from ctxdep import cli, config, GateSpec, GATE_X_PI
 assert not hasattr(ctxdep, "__wrapped__") and getattr(ctxdep, "_x", None) is None
 record("package names", setup_names)
+for scenario in config.SCENARIOS:
+    config.parse_config(f"scenario = {scenario}")
+record("parse every scenario", setup_names)
 import ctxdep.cli
 record("import ctxdep.cli", setup_names)
 # the run loop must look both names up on the CLI module, where a tracer wraps them
@@ -707,8 +769,9 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     found = json.loads(out.stdout.strip().splitlines()[-1])
     idle = {"loaded": [], "calls": {"build_model": 0, "run_scenario": 0}}
     ran = {"loaded": [], "calls": {"build_model": 2, "run_scenario": 1}}
-    assert found == {"import ctxdep": idle, "package names": idle, "import ctxdep.cli": idle,
-                     "validate": idle, **{name: ran for name, _, _ in runs}}
+    assert found == {"import ctxdep": idle, "package names": idle, "parse every scenario": idle,
+                     "import ctxdep.cli": idle, "validate": idle,
+                     **{name: ran for name, _, _ in runs}}
 
 
 def test_package_exports_each_layers_all():

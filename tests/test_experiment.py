@@ -27,7 +27,7 @@ from ctxdep import (
     sequence_ptm,
     write_table_csv,
 )
-from ctxdep.cli import _build_families, parse_config
+from ctxdep.config import parse_config
 from ctxdep.experiment import resample_cells, substream, table_from_ptm
 
 from .conftest import GAMMA_SUM, T_GATE, make_params
@@ -375,7 +375,7 @@ class TestCsvRoundTrip:
 def _preset_cases():
     cases = []
     for scenario in ("fig2a", "fig2b", "fig3a", "fig3b"):
-        families = _build_families(parse_config(f"scenario = {scenario}"))
+        families = parse_config(f"scenario = {scenario}").families()
         for j, family in enumerate(families):
             name = scenario if len(families) == 1 else f"{scenario}-block{j}"
             cases.append(pytest.param(family, family.kind, id=name))
