@@ -79,6 +79,9 @@ CONDITION_LIMIT = 1e6
 LINEAR_NULL_LIMIT = 1.0
 # Largest deviation from (1, 0, ..., 0) that unitarity_u accepts in a first row.
 TRACE_PRESERVING_TOL = 1e-8
+# Members per block of null draws: a spread test holds one (block x R) slice
+# of its null at a time, never the whole (members x R) matrix.
+NULL_BLOCK = 64
 
 
 class IllConditioned(ValueError):
@@ -262,20 +265,6 @@ def _percentiles(values: np.ndarray, q) -> np.ndarray:
     return out
 
 
-def _null_spread_thresholds(boots: np.ndarray) -> tuple[float, float]:
-    """95%/99% quantiles of the max-min spread under the no-variation null.
-
-    Null draws are centered per member, which removes the observed
-    member-to-member signal and leaves only shot noise.
-    """
-    # non-finite null draws give NaN thresholds, which _verdict reports.
-    with np.errstate(invalid="ignore"):
-        centered = boots - boots.mean(axis=1, keepdims=True)
-        null_spread = centered.max(axis=0) - centered.min(axis=0)
-        q95, q99 = _percentiles(null_spread, [95.0, 99.0])
-    return max(float(q95), EXACT_SPREAD_TOL), max(float(q99), EXACT_SPREAD_TOL)
-
-
 def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verdict:
     """Three-way verdict of a statistic against its null's 95%/99% thresholds.
 
@@ -297,20 +286,28 @@ def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verd
     return Verdict.CONTEXT_INDEPENDENT
 
 
-def _null_ci(boots: np.ndarray, method: str, details: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member 95% percentile interval of the null draws ``boots`` (members x draws).
-
-    Also records ``details["null"]``: the ``method`` ("delta" or
-    "bootstrap"), the draw count and the share of draws that are not finite.
-    """
-    details["null"] = {
-        "method": method,
-        "draws": boots.shape[1],
-        "non_finite_frac": float(np.mean(~np.isfinite(boots))),
-    }
-    with np.errstate(invalid="ignore"):  # -inf draws give NaN bounds, written as null
-        low, high = _percentiles(boots, [2.5, 97.5])
+def _null_ci(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """95% percentile interval of each row of null ``draws``; -inf draws give NaN bounds."""
+    with np.errstate(invalid="ignore"):
+        low, high = _percentiles(draws, [2.5, 97.5])
     return low, high
+
+
+def _null_details(method: str, draws: int, non_finite: int, members: int) -> dict:
+    """``details["null"]``: method, draws per member and the share of draws not finite."""
+    return {"method": method, "draws": draws, "non_finite_frac": non_finite / (members * draws)}
+
+
+def _null_blocks(order, resamples: int, draws):
+    """Yield ``(idx, block)`` for runs ``idx`` of at most ``NULL_BLOCK`` members of ``order``;
+    row ``i`` of the (block x resamples) ``block`` is ``draws(idx[i])``, made in ``order``.
+    """
+    for start in range(0, len(order), NULL_BLOCK):
+        idx = order[start:start + NULL_BLOCK]
+        block = np.empty((len(idx), resamples))
+        for row, j in zip(block, idx):
+            row[:] = draws(j)
+        yield idx, block
 
 
 def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> TestReport:
@@ -324,13 +321,14 @@ def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> 
 
 def _log_dets(tables, resamples: int, seed: int):
     """``log|det P|`` of the stacked member tables, in one ``slogdet`` call, and the
-    (members x resamples) log-dets of their bootstrap draws (``None`` if all exact).
+    log-dets of their bootstrap draws in table order, as :func:`_null_blocks`
+    (``None`` if all exact).
     """
     observed = log_abs_det_many(np.stack([t.entries for t in tables]))
     if all(t.is_exact for t in tables):
         return observed, None
-    boots = np.stack([log_abs_det_many(resample_cells(t, resamples, seed)) for t in tables])
-    return observed, boots
+    return observed, _null_blocks(range(len(tables)), resamples, lambda j: log_abs_det_many(
+        resample_cells(tables[j], resamples, seed)))
 
 
 def _cell_sd(tables) -> np.ndarray:
@@ -348,8 +346,8 @@ def _linear_size(inverse: np.ndarray, sd: np.ndarray) -> float:
     return float(np.linalg.norm(inverse, 2) * np.linalg.norm(sd))
 
 
-def _delta_null(tables, stats, sigma, shared, resamples: int, seed: int) -> np.ndarray:
-    """(members x resamples) delta-method null draws of the cyclic test's ``stats``.
+def _delta_null(tables, stats, sigma, shared, resamples: int, seed: int):
+    """Delta-method null draws of the cyclic test's ``stats``, in blocks of members.
 
     Draw ``b`` of member ``j`` is ``stats[j] + sigma[j] z[j, b] + shared[j] . e[:, b]``
     with standard normals ``z`` and ``e``: ``sigma[j]`` is the member's own
@@ -357,40 +355,52 @@ def _delta_null(tables, stats, sigma, shared, resamples: int, seed: int) -> np.n
     reference table that every member shares.  All come from one substream
     keyed on ``(seed, "null", "CyclicFid")``: ``e`` first, then one row of
     ``z`` per member in label order, so a member's draws do not depend on its
-    place in the list.
+    place in the list.  Returns them as :func:`_null_blocks`, in label order.
     """
     # looked up on the module, as every other substream is, so that perfbench's
     # traced runs (which wrap ctxdep.experiment.substream) count this one too
     gen = experiment.substream(seed, "null", "CyclicFid")
     common = gen.standard_normal((shared.shape[1], resamples))
-    boots = np.empty((len(tables), resamples))
-    for j in sorted(range(len(tables)), key=lambda j: tables[j].label):
-        row = boots[j]
-        gen.standard_normal(out=row)
-        row *= sigma[j]
-        row += stats[j]
-        row += shared[j] @ common
-    return boots
+    # one row at a time: a block-wide shared[idx] @ common rounds differently
+    return _null_blocks(
+        sorted(range(len(tables)), key=lambda j: tables[j].label), resamples,
+        lambda j: gen.standard_normal(resamples) * sigma[j] + stats[j] + shared[j] @ common,
+    )
 
 
-def _spread_report(kind, tables, stats, boots, method: str, summary: dict,
+def _spread_report(kind, tables, stats, null, method: str, summary: dict,
                    details: dict) -> TestReport:
     """Report of an invariant that must agree across a family's members.
 
     The statistic is the max-min spread of the finite ``stats``, judged
-    against the ``EXACT_SPREAD_TOL`` floor for exact tables (``boots`` is
-    ``None``) and against the null draws ``boots`` otherwise, made by
-    ``method``.  A null that stays at the floor has no width (single-shot 0/1
-    frequencies have no binomial variance) and supports no verdict.
+    against the ``EXACT_SPREAD_TOL`` floor for exact tables (``null`` is
+    ``None``) and otherwise against the null that ``method`` made, which
+    ``null`` yields as :func:`_null_blocks`.  Each block gives its members'
+    95% intervals; its draws, centred per member to remove the observed
+    member-to-member signal, update the running max and min over members of
+    every draw, whose difference is the null spread.  A null that stays at
+    the floor has no width (single-shot 0/1 frequencies have no binomial
+    variance) and supports no verdict.
     """
     ci = (None, None)
-    if boots is None:
+    if null is None:
         thresholds = (EXACT_SPREAD_TOL, EXACT_SPREAD_TOL)
     else:
-        # CI first: the other order left a 2 MB hole in the heap and raised the
-        # peak RSS of a 3-phi fig2b run at 1e5 shots by 1.7 MB
-        ci = _null_ci(boots, method, details)
-        thresholds = _null_spread_thresholds(boots)
+        low, high = np.empty(len(tables)), np.empty(len(tables))
+        top, bottom, non_finite = -np.inf, np.inf, 0
+        for idx, block in null:
+            low[idx], high[idx] = _null_ci(block)
+            non_finite += block.size - np.count_nonzero(np.isfinite(block))
+            # non-finite draws give NaN thresholds, which _verdict reports
+            with np.errstate(invalid="ignore"):
+                block -= block.mean(axis=1, keepdims=True)
+                top = np.maximum(top, block.max(axis=0))
+                bottom = np.minimum(bottom, block.min(axis=0))
+        with np.errstate(invalid="ignore"):
+            q95, q99 = _percentiles(top - bottom, [95.0, 99.0])
+        ci = (low, high)
+        details["null"] = _null_details(method, block.shape[1], non_finite, len(tables))
+        thresholds = (max(float(q95), EXACT_SPREAD_TOL), max(float(q99), EXACT_SPREAD_TOL))
         if thresholds[1] <= EXACT_SPREAD_TOL:
             reason = f"zero-width {method} null: 99% quantile <= {EXACT_SPREAD_TOL:g}"
             details.setdefault("inconclusive_reason", reason)
@@ -414,7 +424,7 @@ def det_permutation_test(
     reported shifted into raw-estimate units (a constant offset).  The
     finite-shot null is the parametric bootstrap's.
     """
-    l_values, boots = _log_dets(tables, resamples, seed)
+    l_values, null = _log_dets(tables, resamples, seed)
     singular = [t.label for t, v in zip(tables, l_values) if not np.isfinite(v)]
     if singular:
         logger.warning("singular tables flagged: %s", ", ".join(singular))
@@ -424,7 +434,7 @@ def det_permutation_test(
         offset = cal.log_abs_det
         summary["raw_units_offset"] = -offset
         details["raw_statistics"] = l_values - offset
-    return _spread_report("PermDet", tables, l_values, boots, "bootstrap", summary, details)
+    return _spread_report("PermDet", tables, l_values, null, "bootstrap", summary, details)
 
 
 def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
@@ -459,10 +469,11 @@ def _cyclic_gradients(entries: np.ndarray, p0_inv: np.ndarray, r: int):
 
 
 def _cyclic_bootstrap(tables, p0, r: int, resamples: int, seed: int, details: dict):
-    """(members x resamples) order-``r`` fidelities of resampled members and reference.
+    """Order-``r`` fidelities of resampled members and reference, in blocks of members.
 
     One inverse per reference draw, shared by every member; a singular draw
-    has none and leaves NaN statistics, which ``_verdict`` reports.
+    has none and leaves NaN statistics, which ``_verdict`` reports.  Returns
+    them as :func:`_null_blocks`, in table order.
     """
     p0_draws = resample_cells(p0, resamples, seed)
     regular = np.isfinite(log_abs_det_many(p0_draws))
@@ -473,10 +484,8 @@ def _cyclic_bootstrap(tables, p0, r: int, resamples: int, seed: int, details: di
             map(str, np.flatnonzero(~regular))
         )
     n = p0.entries.shape[0]
-    boots = np.empty((len(tables), resamples))
-    for j, t in enumerate(tables):
-        boots[j] = trace_powers(resample_cells(t, resamples, seed) @ p0_inv, r)[:, r - 1] / n
-    return boots
+    return _null_blocks(range(len(tables)), resamples, lambda j: trace_powers(
+        resample_cells(tables[j], resamples, seed) @ p0_inv, r)[:, r - 1] / n)
 
 
 def cyclic_fidelity_test(
@@ -513,11 +522,11 @@ def cyclic_fidelity_test(
         raise ValueError(f"r must lie in 1..{n}")
 
     details: dict = {"reference_condition": cond}
-    boots = None
+    null = None
     if ill:  # a sampled reference gives no statistic, observed or null
         details["inconclusive_reason"] = ill
         fid_all = np.full((len(tables), n), np.nan)
-        boots = np.full((len(tables), resamples), np.nan)
+        null = _null_blocks(range(len(tables)), resamples, lambda j: math.nan)
     else:
         fid_all = _fidelities_observed([t.entries for t in tables], p0_entries, n)
     method = "delta"
@@ -526,16 +535,16 @@ def cyclic_fidelity_test(
         sd0 = _cell_sd([p0])[0]
         if _linear_size(p0_inv, sd0) >= LINEAR_NULL_LIMIT:
             method = "bootstrap"
-            boots = _cyclic_bootstrap(tables, p0, r, resamples, seed, details)
+            null = _cyclic_bootstrap(tables, p0, r, resamples, seed, details)
         else:
             grad, grad_ref = _cyclic_gradients(np.stack([t.entries for t in tables]), p0_inv, r)
             sigma = np.sqrt(np.sum(grad**2 * _cell_sd(tables) ** 2, axis=(-2, -1)))
             shared = (grad_ref * sd0).reshape(len(tables), -1)
-            boots = _delta_null(tables, fid_all[:, r - 1], sigma, shared, resamples, seed)
+            null = _delta_null(tables, fid_all[:, r - 1], sigma, shared, resamples, seed)
     details["fidelity_by_order"] = {str(k + 1): fid_all[:, k] for k in range(n)}
     details["spread_by_order"] = {str(k + 1): float(np.ptp(fid_all[:, k])) for k in range(n)}
     summary = {"order": r, "reference": p0.label}
-    return _spread_report("CyclicFid", tables, fid_all[:, r - 1], boots, method, summary, details)
+    return _spread_report("CyclicFid", tables, fid_all[:, r - 1], null, method, summary, details)
 
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
@@ -573,7 +582,8 @@ def repetition_test(
 
     labels = [t.label for t in tables]
     offset = cal.log_abs_det
-    l_values, boots = _log_dets(tables, resamples, seed)
+    l_values, null = _log_dets(tables, resamples, seed)
+    boots = None if null is None else np.concatenate([block for _, block in null])
     l_values = l_values - offset
     good = np.isfinite(l_values)
     if not good.all():
@@ -594,15 +604,20 @@ def repetition_test(
         with np.errstate(invalid="ignore", divide="ignore"):
             sigma = boots[good].std(axis=1, ddof=1)
             weights = np.where(np.ptp(boots[good], axis=1) == 0, np.inf, 1.0 / sigma**2)
-        ci_low, ci_high = _null_ci(boots, "bootstrap", details)
+        ci_low, ci_high = _null_ci(boots)
+        non_finite = boots.size - np.count_nonzero(np.isfinite(boots))
+        details["null"] = _null_details("bootstrap", resamples, non_finite, len(tables))
 
     x, y = m_values[good], l_values[good]
     unweighted = [lbl for lbl, w in zip(np.array(labels)[good], weights) if not np.isfinite(w)]
     p_value = None
-    if unweighted:
-        # no weighted fit or null can be formed from a NaN or infinite weight
+    if unweighted or len(x) < 3:
+        # no weighted fit or null can be formed from a NaN or infinite weight,
+        # and a line through 2 points or fewer fits them exactly
         details["inconclusive_reason"] = (
-            "non-finite bootstrap weight for " + ", ".join(unweighted)
+            "non-finite bootstrap weight for " + ", ".join(unweighted) if unweighted
+            else f"line fit has no residual degrees of freedom: {len(x)} of {len(tables)} "
+            "members finite"
         )
         slope = intercept = residual_norm = chi2 = slope_stderr = math.nan
         statistic_for_threshold = thr95 = thr99 = math.nan

@@ -18,6 +18,7 @@ took.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -42,11 +43,18 @@ def _sanitize(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", label)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, content) -> None:
+    """Write ``content``, a text or a function that writes to an open file, to ``path``.
+
+    The file is written under ``<path>.tmp`` and renamed into place.
+    """
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -113,6 +121,12 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.Te
     return [report, witness, _volume_report(report)]
 
 
+def _dump_report(tree: dict, fh) -> None:
+    """Stream a report's JSON tree to ``fh``, without first building the whole text."""
+    json.dump(tree, fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
 def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
     """Write each report's ``report_<kind>.json`` and, but for CPWitness, ``plot_<kind>.csv``.
 
@@ -123,8 +137,8 @@ def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
     suffix = "_" + _sanitize(family.description.strip("()^m")) if repetition else ""
     for report in reports:
         name = report.kind.lower() + suffix
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-        _write_atomic(os.path.join(out_dir, f"report_{name}.json"), text + "\n")
+        path = os.path.join(out_dir, f"report_{name}.json")
+        _write_atomic(path, functools.partial(_dump_report, report.to_dict()))
         if report.kind == "CPWitness":
             continue
         stats = report.statistics

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -347,14 +348,7 @@ class TestCyclicFidelityTest:
                   for lbl, g in (("x", ()), ("xi", (GATE_IDLE,)))]
         # one-shot draws of 0.5 I: a diagonal cell drawn 0 makes that draw singular
         p0 = ProbabilityTable(np.eye(4) * 0.5, 1, "ref")
-        recorded = []
-        null_thresholds = analysis._null_spread_thresholds
-
-        def record(boots):
-            recorded.append(boots)
-            return null_thresholds(boots)
-
-        monkeypatch.setattr(analysis, "_null_spread_thresholds", record)
+        recorded = _capture_null(monkeypatch, "_cyclic_bootstrap")
         report = cyclic_fidelity_test(tables, p0, r=2, resamples=100, seed=3)
 
         p0_draws = resample_cells(p0, 100, 3)
@@ -366,7 +360,7 @@ class TestCyclicFidelityTest:
         )
         assert report.details["null"]["non_finite_frac"] == singular.mean()
         # regular draws keep their values; singular ones give NaN statistics
-        (boots,) = recorded
+        (boots,) = [_null_matrix(draws) for draws in recorded]
         assert np.isnan(boots[:, singular]).all()
         for j, t in enumerate(tables):
             m = resample_cells(t, 100, 3)[~singular] @ np.linalg.inv(p0_draws[~singular])
@@ -431,6 +425,35 @@ def _capture(monkeypatch, name):
 
     monkeypatch.setattr(analysis, name, record)
     return calls
+
+
+def _capture_null(monkeypatch, name):
+    """Record the null draws of every call of the block producer ``analysis.<name>``.
+
+    Each call appends a dict from member index to that member's draws,
+    copied as produced: the consumer centres each block in place.
+    """
+    calls = []
+    original = getattr(analysis, name)
+
+    def record(*args):
+        blocks, draws = original(*args), {}
+        calls.append(draws)
+
+        def tee():
+            for idx, block in blocks:
+                draws.update(zip(idx, block.copy()))
+                yield idx, block
+
+        return tee()
+
+    monkeypatch.setattr(analysis, name, record)
+    return calls
+
+
+def _null_matrix(draws: dict) -> np.ndarray:
+    """The (members x draws) matrix of one :func:`_capture_null` record, in member order."""
+    return np.array([draws[j] for j in range(len(draws))])
 
 
 def _fd_gradient(f, x, h=1e-7):
@@ -500,14 +523,65 @@ class TestDeltaNull:
         def run(members):
             return cyclic_fidelity_test(members, p0, r=2, resamples=200, seed=3)
 
-        calls = _capture(monkeypatch, "_null_spread_thresholds")
+        calls = _capture_null(monkeypatch, "_delta_null")
         first, again, reversed_ = run(tables), run(tables), run(tables[::-1])
-        (a,), (b,), (c,) = calls
+        a, b, c = map(_null_matrix, calls)
         assert a.tobytes() == b.tobytes()
         assert first.to_dict() == again.to_dict()
         assert a.tobytes() == c[::-1].tobytes()
         assert reversed_.threshold == first.threshold
         assert reversed_.details["null"] == first.details["null"]
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates above what is live when it starts.
+
+    ``fn`` runs once untraced first, so that its first-call imports and
+    caches do not count.
+    """
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestNullMemory:
+    """The spread tests reduce their null one block of members at a time.
+
+    A (members x R) matrix of draws is 1 MB for 251 members and 2 MB for 501
+    at R = 500; holding one, with a sorted copy, took the peaks to 2.1 and
+    4.3 MB.
+    """
+
+    @staticmethod
+    def _members(baseline_model, n):
+        entries = prob_table(seq("x", GATE_X_PI), baseline_model).entries
+        rng = np.random.default_rng(0)
+        return [ProbabilityTable(np.clip(entries + rng.normal(0, 1e-3, entries.shape), 0, 1),
+                                 10**5, f"m{j:03d}") for j in range(n)]
+
+    def test_cyclic_peak(self, baseline_model):
+        tables = self._members(baseline_model, 501)
+        p0 = ProbabilityTable(prob_table(seq("ref"), baseline_model).entries, 10**5, "ref")
+        reports = []
+        peak = _traced_peak(
+            lambda: reports.append(cyclic_fidelity_test(tables, p0, r=2, resamples=500, seed=1))
+        )
+        assert reports[-1].details["null"]["method"] == "delta"
+        assert peak < 1.5e6  # 0.84 MB when written
+
+    def test_permutation_peak(self, baseline_model):
+        tables = self._members(baseline_model, 251)
+        peak = _traced_peak(lambda: det_permutation_test(tables, resamples=500, seed=1))
+        assert peak < 1.0e6  # 0.61 MB when written
 
 
 class TestRepetitionTest:
@@ -592,6 +666,24 @@ class TestRepetitionTest:
         assert report.verdict is Verdict.INCONCLUSIVE
         reason = report.details["inconclusive_reason"]
         assert reason == "non-finite bootstrap weight for m0, m1, m2, m3"
+        assert np.isnan(report.summary["chi2"])
+
+    @pytest.mark.parametrize("finite", [(0, 2), (0,), ()])
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_too_few_finite_members_are_inconclusive(self, baseline_model, shots, finite):
+        # a line through two finite members or fewer has no residual, which used
+        # to read as ContextIndependent (chi2 1e-31 against 1e-8 for two exact ones)
+        family = repetition_family([GATE_X_PI], [0, 1, 2, 3])
+        flat = np.full((4, 4), 0.25)  # rank 1: log|det| = -inf
+        tables = [ProbabilityTable(t.entries if j in finite else flat, shots, t.label)
+                  for j, t in enumerate(family_tables(family, baseline_model))]
+        report = repetition_test(tables, family.m_values, ideal_calibration(), resamples=200,
+                                 seed=1)
+        assert report.summary["n_excluded"] == 4 - len(finite)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == (
+            f"line fit has no residual degrees of freedom: {len(finite)} of 4 members finite"
+        )
         assert np.isnan(report.summary["chi2"])
 
     def test_batched_null_matches_per_draw_fits(self, baseline_model):

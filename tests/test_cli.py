@@ -645,28 +645,43 @@ class TestArtifactWriter:
 
     # Digests of the files written by the single-threaded emitter that the
     # writer thread replaced: a changed byte, name or file set shows here.
-    # The two sampled digests were re-captured when reports renamed
-    # details.bootstrap to details.null and the cyclic test took the
-    # delta-method null; every table file stayed byte-identical.
+    # The cyclic-sampled and permutation-sampled digests were re-captured
+    # when reports renamed details.bootstrap to details.null and the cyclic
+    # test took the delta-method null; every table file stayed
+    # byte-identical.  The cyclic run at 10 shots, whose reference is too
+    # noisy for the delta method, and the repetition run pin the other two
+    # null paths.  ``method`` is the details.null.method of every report
+    # that has a null.
     @pytest.mark.parametrize(
-        "text,n_files,digest",
+        "text,n_files,digest,method",
         [
             ('scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 1000\n'
              "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
-             "1dab720fe04520b0c0b120c45ca6380a30dc49001b2532770778e57c429523b7"),
+             "1dab720fe04520b0c0b120c45ca6380a30dc49001b2532770778e57c429523b7", "delta"),
             ("scenario = fig3b\nshots = exact\n", 96,
-             "aeb0b7c50d472c73279bf93ea05fbce1581c36c251c55d9cc3e06f407d7e8b32"),
+             "aeb0b7c50d472c73279bf93ea05fbce1581c36c251c55d9cc3e06f407d7e8b32", None),
             ('scenario = custom\nfamily = permutation\ngates = "I X_pi"\nn = 6\nshots = 1000\n'
              "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 18,
-             "4a4923856a4ccc74f80435d32411d72523dda58f66308b1fc466492739ec3b31"),
+             "4a4923856a4ccc74f80435d32411d72523dda58f66308b1fc466492739ec3b31", "bootstrap"),
+            ('scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 10\n'
+             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
+             "40076db7f8e8e8040ace1b1a937bc04879f8cd48849d8e729f3043d2ba126ba7", "bootstrap"),
+            ('scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
+             "m_values = [0, 10, 20, 30, 40]\nshots = 1000\n"
+             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 20,
+             "a103f88d50197b8ee09f991e8b0308c60b3142fbd8cd4a49c8e9bcf27c6d7489", "bootstrap"),
         ],
-        ids=["cyclic-sampled", "fig3b-exact", "permutation-sampled"],
+        ids=["cyclic-sampled", "fig3b-exact", "permutation-sampled", "cyclic-bootstrap",
+             "repetition-sampled"],
     )
-    def test_artifacts_are_pinned(self, tmp_path, capsys, text, n_files, digest):
+    def test_artifacts_are_pinned(self, tmp_path, capsys, text, n_files, digest, method):
         self._main(tmp_path, text)
         out = tmp_path / "out"
         assert len([p for p in out.rglob("*") if p.is_file()]) == n_files
         assert _tree_digest(out) == digest
+        nulls = [json.loads(p.read_text())["details"].get("null")
+                 for p in out.rglob("report_*.json")]
+        assert {null["method"] for null in nulls if null} == ({method} if method else set())
 
 
 def test_readme_config_block_lists_every_key():
