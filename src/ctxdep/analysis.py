@@ -380,7 +380,8 @@ def _spread_report(kind, tables, stats, null, method: str, summary: dict,
     member-to-member signal, update the running max and min over members of
     every draw, whose difference is the null spread.  A null that stays at
     the floor has no width (single-shot 0/1 frequencies have no binomial
-    variance) and supports no verdict.
+    variance) and supports no verdict; nor does one finite member, whose
+    spread is 0 whatever the device does.
     """
     ci = (None, None)
     if null is None:
@@ -405,6 +406,9 @@ def _spread_report(kind, tables, stats, null, method: str, summary: dict,
             reason = f"zero-width {method} null: 99% quantile <= {EXACT_SPREAD_TOL:g}"
             details.setdefault("inconclusive_reason", reason)
     finite = stats[np.isfinite(stats)]
+    if finite.size == 1 and np.isfinite(thresholds).all():
+        reason = f"spread needs 2 or more finite members: 1 of {len(stats)} finite"
+        details.setdefault("inconclusive_reason", reason)
     spread = float(np.ptp(finite)) if finite.size else math.nan
     summary.update(spread=spread, mean=float(finite.mean()) if finite.size else math.nan)
     return _report(kind, tables, stats, spread, thresholds, ci, summary, details)
@@ -703,19 +707,21 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     ``EXACT_SPREAD_TOL`` or, given confidence intervals, when they do not
     overlap.  An interval of zero width (every resample reproduced its table,
     as single-shot 0/1 frequencies do) cannot tell a rise from shot noise,
-    so any one makes the result Inconclusive.  ``summary.cp_indivisible`` is
-    true exactly when the verdict is ContextDependent; the rises found are
-    listed in ``details.increases`` whatever the verdict.
+    so any one makes the result Inconclusive; so does a series with no two
+    adjacent finite members, which has nothing to compare.
+    ``summary.cp_indivisible`` is true exactly when the verdict is
+    ContextDependent; the rises found are listed in ``details.increases``
+    whatever the verdict.
     """
     m_values = np.asarray(list(m_values), dtype=float)
     l_values = np.asarray(l_values, dtype=float)
     if len(m_values) < 2:
         raise ValueError("need at least 2 points")
+    finite = np.isfinite(l_values)
+    pairs = np.flatnonzero(finite[:-1] & finite[1:])  # j with members j and j + 1 finite
     increases = []
-    for j in range(len(l_values) - 1):
+    for j in pairs:
         a, b = l_values[j], l_values[j + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
         if ci_low is None:
             significant = (b - a) > EXACT_SPREAD_TOL
         else:
@@ -732,7 +738,10 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
         zero_width = [lbl for lbl, lo, hi in zip(labels, ci_low, ci_high) if lo == hi]
         if zero_width:
             details["inconclusive_reason"] = "zero-width interval for " + ", ".join(zero_width)
-            verdict = Verdict.INCONCLUSIVE
+    if not pairs.size:
+        details.setdefault("inconclusive_reason", "no two adjacent members have finite log-dets")
+    if "inconclusive_reason" in details:
+        verdict = Verdict.INCONCLUSIVE
     summary = {
         "n_increases": len(increases),
         "max_rise": max((f["rise"] for f in increases), default=0.0),

@@ -18,7 +18,7 @@ took.
 from __future__ import annotations
 
 import argparse
-import functools
+import contextlib
 import json
 import logging
 import os
@@ -43,34 +43,28 @@ def _sanitize(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", label)
 
 
-def _write_atomic(path: str, content) -> None:
-    """Write ``content``, a text or a function that writes to an open file, to ``path``.
-
-    The file is written under ``<path>.tmp`` and renamed into place.
-    """
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield ``<path>.tmp``; rename it to ``path`` if the block succeeds, else remove it."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
-            if callable(content):
-                content(fh)
-            else:
-                fh.write(content)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         try:
             os.remove(tmp)
-        except OSError:  # there is none when open itself failed
+        except OSError:  # there is none when the block failed before creating it
             pass
         raise
 
 
 def _emit_tables(tables, out_dir: str) -> None:
-    from .experiment import _table_csv_text
+    from .experiment import write_table_csv
 
     os.makedirs(out_dir, exist_ok=True)
     for t in tables:
-        path = os.path.join(out_dir, _sanitize(t.label) + ".csv")
-        _write_atomic(path, _table_csv_text(t))
+        with _replacing(os.path.join(out_dir, _sanitize(t.label) + ".csv")) as tmp:
+            write_table_csv(t, tmp)
 
 
 def _reference_table(cfg: RunConfig, model) -> experiment.ProbabilityTable:
@@ -121,12 +115,6 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.Te
     return [report, witness, _volume_report(report)]
 
 
-def _dump_report(tree: dict, fh) -> None:
-    """Stream a report's JSON tree to ``fh``, without first building the whole text."""
-    json.dump(tree, fh, indent=2, sort_keys=True, allow_nan=False)
-    fh.write("\n")
-
-
 def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
     """Write each report's ``report_<kind>.json`` and, but for CPWitness, ``plot_<kind>.csv``.
 
@@ -137,8 +125,10 @@ def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
     suffix = "_" + _sanitize(family.description.strip("()^m")) if repetition else ""
     for report in reports:
         name = report.kind.lower() + suffix
-        path = os.path.join(out_dir, f"report_{name}.json")
-        _write_atomic(path, functools.partial(_dump_report, report.to_dict()))
+        # streamed, so the whole JSON text is never held in memory
+        with _replacing(os.path.join(out_dir, f"report_{name}.json")) as tmp, open(tmp, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
         if report.kind == "CPWitness":
             continue
         stats = report.statistics
@@ -148,7 +138,8 @@ def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
         lines = ["index,statistic,ci_low,ci_high,phi"]
         for j, x in enumerate(xs):
             lines.append(f"{x},{float(stats[j])!r},{float(lo[j])!r},{float(hi[j])!r},{phi!r}")
-        _write_atomic(os.path.join(out_dir, f"plot_{name}.csv"), "\n".join(lines) + "\n")
+        with _replacing(os.path.join(out_dir, f"plot_{name}.csv")) as tmp, open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 class _Writer:

@@ -408,17 +408,13 @@ def family_tables(
 
 def write_table_csv(table: ProbabilityTable, path) -> None:
     """Write a table as CSV with ``#`` metadata lines for label and shots."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_table_csv_text(table))
-
-
-def _table_csv_text(table: ProbabilityTable) -> str:
     lines = [f"# label = {table.label}",
              f"# shots = {'exact' if table.is_exact else table.shots}",
              ",".join(["setting"] + [f"prep{i}" for i in range(table.entries.shape[1])])]
     for k, row in enumerate(table.entries):
         lines.append(",".join([f"meas{k}"] + [repr(float(v)) for v in row]))
-    return "\n".join(lines) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_table_csv(path) -> ProbabilityTable:

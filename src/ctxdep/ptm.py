@@ -53,7 +53,7 @@ _SINGLE_QUBIT_PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 RAISING = LOWERING.conj().T
 
-IMAG_TOL = 1e-9  # a larger imaginary part of a transfer-matrix entry raises NonRealEntry
+IMAG_TOL = 1e-9  # times max(1, largest |real entry|): a larger imaginary part raises NonRealEntry
 
 
 class NonRealEntry(ValueError):
@@ -139,35 +139,35 @@ def ptm_of_map(apply_map: Callable[[np.ndarray], np.ndarray], basis: OperatorBas
     """Transfer matrix of a linear map given as a black-box action on operators.
 
     Entry ``(n, m)`` is ``Tr[P_n apply_map(P_m)] / d``.  For a
-    Hermiticity-preserving map these are real; residual imaginary parts up to
-    ``IMAG_TOL`` are discarded, anything larger raises :class:`NonRealEntry`.
+    Hermiticity-preserving map these are real; :func:`_real_part` discards
+    residual imaginary parts and raises :class:`NonRealEntry` on larger ones.
     """
-    size = basis.size
-    out = np.empty((size, size))
+    out = np.empty((basis.size, basis.size), dtype=complex)
     for m, p_m in enumerate(basis.elements):
         image = apply_map(p_m)
         for n, p_n in enumerate(basis.elements):
-            value = np.trace(p_n @ image) / basis.dim
-            if abs(value.imag) > IMAG_TOL:
-                raise NonRealEntry(
-                    f"entry ({n}, {m}) has imaginary part {value.imag:.3e}; "
-                    "the map does not preserve Hermiticity"
-                )
-            out[n, m] = value.real
-    return out
+            out[n, m] = np.trace(p_n @ image) / basis.dim
+    return _real_part(out)
+
+
+def _real_part(out: np.ndarray) -> np.ndarray:
+    """``out.real``; raises :class:`NonRealEntry` where ``|out.imag|`` exceeds ``IMAG_TOL``
+    times the largest real entry (or times 1, if that is smaller): roundoff grows with it."""
+    imag = np.abs(out.imag)
+    n, m = np.unravel_index(np.argmax(imag), imag.shape)
+    if imag[n, m] > IMAG_TOL * max(1.0, np.abs(out.real).max()):
+        raise NonRealEntry(f"entry ({n}, {m}) has imaginary part {out.imag[n, m]:.3e}; "
+                           "the map does not preserve Hermiticity")
+    return out.real
 
 
 def _superop_to_ptm(superop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Transfer matrix ``V^+ L V / d`` of a superoperator ``L`` acting on ``vec(rho)``.
 
-    Entry ``(n, m)`` is ``Tr[P_n L(P_m)] / d``, checked for realness as in :func:`ptm_of_map`.
+    Entry ``(n, m)`` is ``Tr[P_n L(P_m)] / d``, checked for realness by :func:`_real_part`.
     """
     v = basis.vec_columns
-    out = v.conj().T @ superop @ v / basis.dim
-    worst = np.abs(out.imag).max()
-    if worst > IMAG_TOL:
-        raise NonRealEntry(f"imaginary part {worst:.3e}: map does not preserve Hermiticity")
-    return out.real
+    return _real_part(v.conj().T @ superop @ v / basis.dim)
 
 
 def hamiltonian_generator(hamiltonian: np.ndarray, basis: OperatorBasis) -> np.ndarray:

@@ -254,6 +254,25 @@ class TestDetPermutationTest:
         assert np.isnan(report.summary["mean"]) and np.isnan(report.summary["spread"])
         assert report.details["singular_members"] == ["a", "b"]
 
+    def test_one_finite_member_is_inconclusive(self, baseline_model):
+        # the spread of a single finite log-det is 0, whatever the device does
+        good = prob_table(seq("ok", GATE_X_PI), baseline_model)
+        dead = [ProbabilityTable(np.zeros((4, 4)), None, f"dead{i}") for i in range(2)]
+        report = det_permutation_test([good, *dead])
+        assert report.summary["spread"] == 0.0
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == (
+            "spread needs 2 or more finite members: 1 of 3 finite"
+        )
+
+    def test_one_finite_sampled_member_keeps_its_reason(self, baseline_model):
+        good = sample_table(prob_table(seq("ok", GATE_X_PI), baseline_model), 10**4, 3)
+        dead = ProbabilityTable(np.zeros((4, 4)), 10**4, "dead")
+        with np.errstate(invalid="ignore"):
+            report = det_permutation_test([good, dead], resamples=100, seed=3)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == "non-finite threshold95, threshold99"
+
     def test_singular_member_flagged(self, baseline_model):
         table = prob_table(seq("ok", GATE_X_PI), baseline_model)
         broken = ProbabilityTable(np.zeros((4, 4)), None, "dead")
@@ -288,6 +307,17 @@ class TestCyclicFidelityTest:
         p0 = prob_table(seq("ref"), baseline_model)
         report = cyclic_fidelity_test([p0], p0, r=1)
         assert report.statistics[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_member_is_inconclusive(self):
+        # one rotation, as a one-gate base sequence has: no spread to judge,
+        # even under a coupling the family would detect with more members
+        model = build_model(make_params(phi=5e-3))
+        table = prob_table(seq("x", GATE_X_PI), model)
+        report = cyclic_fidelity_test([table], prob_table(seq("ref"), model), r=2)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == (
+            "spread needs 2 or more finite members: 1 of 1 finite"
+        )
 
     def test_rejects_singular_reference(self, baseline_model):
         table = prob_table(seq("x", GATE_X_PI), baseline_model)
@@ -896,6 +926,25 @@ class TestCpWitness:
         assert report.verdict is verdict
         assert report.summary["cp_indivisible"] is (verdict is Verdict.CONTEXT_DEPENDENT)
         assert [f["m_from"] for f in report.details["increases"]] == [1.0]
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [(None, None), ([np.nan, -1.5, np.nan], [np.nan, -0.5, np.nan])],
+        ids=["exact", "sampled"],
+    )
+    def test_no_finite_pair_is_inconclusive(self, low, high):
+        # no two adjacent members to compare, so no rise could have been seen;
+        # NaN intervals are not zero-width ones
+        report = cp_witness([0, 1, 2], [-np.inf, -1.0, -np.inf], low, high)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == (
+            "no two adjacent members have finite log-dets"
+        )
+        assert report.summary["cp_indivisible"] is False
+
+    def test_zero_width_reason_comes_first(self):
+        report = cp_witness([0, 1], [-np.inf, 0.0], [-np.inf, 0.0], [-np.inf, 0.0])
+        assert report.details["inconclusive_reason"] == "zero-width interval for m=0, m=1"
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import pytest
 
 from ctxdep import analysis, read_table_csv
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
-from ctxdep.cli import _volume_report, _write_atomic, main, run_scenario
+from ctxdep.cli import _replacing, _volume_report, main, run_scenario
 from ctxdep.config import (
     KEYS,
     SCENARIOS,
@@ -266,6 +266,15 @@ class TestRunScenario:
         assert report["verdict"] == "ContextDependent"
         reference = os.path.join(cfg.output_dir, "phi_0.005", "tables", "reference.csv")
         assert read_table_csv(reference).label == "reference"
+
+    def test_one_rotation_supports_no_verdict(self, tmp_path, capsys):
+        # a one-gate base has one rotation, whose spread is 0 even when coupled
+        _, status = self._run(
+            tmp_path, "scenario = custom\nfamily = cyclic\ngates = X_pi\nphi_values = [0, 0.005]\n"
+        )
+        assert status == 0
+        out = capsys.readouterr().out
+        assert out.count("CyclicFid") == 2 and "ContextIndependent" not in out
 
     def test_volume_report_carries_no_verdict(self, tmp_path, capsys):
         # at this coupling RepLinearity on the same tables is ContextDependent,
@@ -526,6 +535,14 @@ class TestMain:
         assert witness["summary"]["cp_indivisible"] is False
         assert witness["summary"]["n_increases"] == len(witness["details"]["increases"]) == 1
 
+    def test_fast_decay_runs(self, tmp_path, capsys):
+        # T1 = 1 ns: the generators' entries reach 1e9, and their roundoff
+        # must not read as a map that breaks Hermiticity
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = fig3b\ngamma1 = 1e9\nphi_values = [0]\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "CPWitness" in capsys.readouterr().out
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_volume_skips_a_singular_first_member(self, tmp_path, capsys):
         # at 1 shot and seed 1 the m = 0 table at phi = 0 is singular; the
@@ -640,7 +657,15 @@ class TestArtifactWriter:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="replace refused"):
-            _write_atomic(str(tmp_path / "table.csv"), "text\n")
+            with _replacing(str(tmp_path / "table.csv")) as tmp, open(tmp, "w") as fh:
+                fh.write("text\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_block_leaves_no_file(self, tmp_path):
+        # the block fails after it created the temp file
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            with _replacing(str(tmp_path / "report.json")) as tmp, open(tmp, "w") as fh:
+                json.dump({"statistic": math.nan}, fh, allow_nan=False)
         assert list(tmp_path.iterdir()) == []
 
     # Digests of the files written by the single-threaded emitter that the

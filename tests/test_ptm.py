@@ -92,11 +92,13 @@ class TestPtmOfMap:
         assert log_abs_det(ptm) == pytest.approx(2.0 * np.log(1.0 - g), rel=1e-10)
 
     def test_non_hermiticity_preserving_map_rejected(self):
+        # the tolerance grows with the entries, but never to their own size
         from ctxdep.ptm import LOWERING
 
         basis = pauli_basis(1)
-        with pytest.raises(NonRealEntry):
-            ptm_of_map(lambda rho: LOWERING @ rho, basis)
+        for scale in (1.0, 1e9):
+            with pytest.raises(NonRealEntry, match=r"entry \(\d, \d\)"):
+                ptm_of_map(lambda rho: scale * LOWERING @ rho, basis)
 
     def test_composition_homomorphism(self):
         # representation of (apply S1 then S2) is the matrix product S2 @ S1
@@ -169,6 +171,15 @@ def liouvillian_column_stacked(jumps, dim):
 
 
 class TestDissipatorGenerator:
+    def test_fast_decay_is_real(self):
+        # T1 from 1 us to 1 ps at the default p = 0.92 and gamma_phi = gamma1 / 2:
+        # roundoff in the imaginary parts grows with the rates and is no error
+        for g in np.logspace(6, 12, 61):
+            g3 = g * (1 - 0.92) / 0.92
+            d = dissipator_generator(g, g3, g / 2, 2)
+            # two qubits, each with its 4x4 trace -2 (g1 + g3 + gphi), times 4
+            assert np.trace(d) == pytest.approx(-16 * (g + g3 + g / 2), rel=1e-12)
+
     def test_zero_rates(self):
         np.testing.assert_allclose(
             dissipator_generator(0.0, 0.0, 0.0, 1), np.zeros((4, 4))
