@@ -268,6 +268,41 @@ def run_scenario(cfg: RunConfig) -> int:
     return 2 if any_dependent else 0
 
 
+# what hashlib imports its hashes from when OpenSSL's _hashlib is missing
+_BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_blake2", "_sha3") if sys.version_info >= (3, 12)
+                   else ("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3"))
+
+
+def _import_sampling_modules() -> None:
+    """Import ``numpy.random`` and ``hashlib`` without OpenSSL where Python has its own hashes.
+
+    ``numpy.random`` imports ``secrets``, whose ``hmac`` and ``hashlib`` load
+    OpenSSL's ``_hashlib`` (about 3.4 MB of RSS), while a run hashes only
+    with ``sha256`` in :func:`ctxdep.experiment.substream`, where CPython's
+    built-in hash gives the same digests.  ``_hashlib`` is blocked for this
+    import only, so a later ``import _hashlib`` works.  Nothing is blocked
+    when ``_hashlib`` is loaded already or a built-in hash module is missing
+    (some builds have only blake2), where ``hashlib`` would log errors and
+    lack ``sha256``.  The ``_sha2`` name of Python >= 3.12 is untested.
+    Only :func:`main`, which owns its process, calls this: a library caller
+    of :func:`run_scenario` keeps the ``hashlib`` it has.
+    """
+    import importlib.util
+
+    if "_hashlib" in sys.modules or not all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
+        return
+    # the numerical layers first: compiled from source after numpy.random,
+    # they leave peak RSS about 0.5 MB higher
+    from . import analysis  # noqa: F401
+
+    sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
+    try:
+        import hashlib  # noqa: F401
+        import numpy.random  # noqa: F401
+    finally:
+        del sys.modules["_hashlib"]
+
+
 # (flag, config key): each flag overrides its key through the same table row
 OVERRIDES = (("--scenario", "scenario"), ("--shots", "shots"), ("--seed", "seed"),
              ("--out", "output_dir"))
@@ -314,6 +349,8 @@ def main(argv=None) -> int:
                   f"{'exact' if cfg.shots is None else cfg.shots} "
                   f"phi_values={list(cfg.resolved_phi_values())} seed={cfg.seed}")
             return 0
+        if cfg.shots is not None:  # only sampled runs draw
+            _import_sampling_modules()
         return run_scenario(cfg)
     except (ConfigError, ValueError, OSError, ImportError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -163,8 +163,9 @@ def substream(seed: int, *tags) -> np.random.Generator:
     were created in between, which makes every sampled quantity independent
     of evaluation order and safe to recompute in parallel.
     """
-    # only sampled runs draw, so numpy.random and hashlib (and OpenSSL behind
-    # it) load on the first call, not with this module
+    # only sampled runs draw, so numpy.random and hashlib load on the first
+    # call, not with this module; the CLI loads them before its first draw,
+    # without OpenSSL where Python has built-in hashes
     import hashlib
 
     payload = "\x1f".join([str(int(seed))] + [str(t) for t in tags]).encode("utf-8")

@@ -677,28 +677,30 @@ class TestArtifactWriter:
     # noisy for the delta method, and the repetition run pin the other two
     # null paths.  ``method`` is the details.null.method of every report
     # that has a null.
-    @pytest.mark.parametrize(
-        "text,n_files,digest,method",
-        [
-            ('scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 1000\n'
-             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
-             "1dab720fe04520b0c0b120c45ca6380a30dc49001b2532770778e57c429523b7", "delta"),
-            ("scenario = fig3b\nshots = exact\n", 96,
-             "aeb0b7c50d472c73279bf93ea05fbce1581c36c251c55d9cc3e06f407d7e8b32", None),
-            ('scenario = custom\nfamily = permutation\ngates = "I X_pi"\nn = 6\nshots = 1000\n'
-             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 18,
-             "4a4923856a4ccc74f80435d32411d72523dda58f66308b1fc466492739ec3b31", "bootstrap"),
-            ('scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 10\n'
-             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
-             "40076db7f8e8e8040ace1b1a937bc04879f8cd48849d8e729f3043d2ba126ba7", "bootstrap"),
-            ('scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
-             "m_values = [0, 10, 20, 30, 40]\nshots = 1000\n"
-             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 20,
-             "a103f88d50197b8ee09f991e8b0308c60b3142fbd8cd4a49c8e9bcf27c6d7489", "bootstrap"),
-        ],
-        ids=["cyclic-sampled", "fig3b-exact", "permutation-sampled", "cyclic-bootstrap",
-             "repetition-sampled"],
-    )
+    PINNED = {
+        "cyclic-sampled": (
+            'scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 1000\n'
+            "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
+            "1dab720fe04520b0c0b120c45ca6380a30dc49001b2532770778e57c429523b7", "delta"),
+        "fig3b-exact": (
+            "scenario = fig3b\nshots = exact\n", 96,
+            "aeb0b7c50d472c73279bf93ea05fbce1581c36c251c55d9cc3e06f407d7e8b32", None),
+        "permutation-sampled": (
+            'scenario = custom\nfamily = permutation\ngates = "I X_pi"\nn = 6\nshots = 1000\n'
+            "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 18,
+            "4a4923856a4ccc74f80435d32411d72523dda58f66308b1fc466492739ec3b31", "bootstrap"),
+        "cyclic-bootstrap": (
+            'scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 10\n'
+            "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
+            "40076db7f8e8e8040ace1b1a937bc04879f8cd48849d8e729f3043d2ba126ba7", "bootstrap"),
+        "repetition-sampled": (
+            'scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
+            "m_values = [0, 10, 20, 30, 40]\nshots = 1000\n"
+            "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 20,
+            "a103f88d50197b8ee09f991e8b0308c60b3142fbd8cd4a49c8e9bcf27c6d7489", "bootstrap"),
+    }
+
+    @pytest.mark.parametrize("text,n_files,digest,method", PINNED.values(), ids=PINNED.keys())
     def test_artifacts_are_pinned(self, tmp_path, capsys, text, n_files, digest, method):
         self._main(tmp_path, text)
         out = tmp_path / "out"
@@ -707,6 +709,25 @@ class TestArtifactWriter:
         nulls = [json.loads(p.read_text())["details"].get("null")
                  for p in out.rglob("report_*.json")]
         assert {null["method"] for null in nulls if null} == ({method} if method else set())
+
+    def test_both_hash_back_ends_write_the_pinned_bytes(self, tmp_path):
+        # this process has loaded OpenSSL's hashlib, so the pinned runs above
+        # never hash with CPython's built-in sha256; a fresh CLI process does,
+        # and with a built-in hash module missing it keeps OpenSSL's
+        text, _, digest, _ = self.PINNED["cyclic-bootstrap"]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        missing = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+        fallback = (f"import sys; sys.modules[{missing!r}] = None\n"
+                    "from ctxdep.cli import main\nstatus = main(sys.argv[1:])\n"
+                    "print('_hashlib' in sys.modules); sys.exit(status)")
+        children = {"built-in": ["-m", "ctxdep.cli"], "OpenSSL": ["-c", fallback]}
+        for name, args in children.items():
+            out = _python_child([*args, "run", "--config", str(path), "--out",
+                                 str(tmp_path / name)])
+            assert out.returncode in (0, 2) and out.stderr == "", (name, out.stderr)
+            assert _tree_digest(tmp_path / name) == digest, name
+        assert out.stdout.splitlines()[-1] == "True"  # the fallback child loaded _hashlib
 
 
 def test_readme_config_block_lists_every_key():
@@ -725,14 +746,14 @@ def test_volume_without_finite_member_names_none():
     assert np.isnan(volume.statistics).all()
 
 
-# Loaded by no run: scipy is a test dependency, and numpy.ma comes with
-# np.percentile (through np.unique), which the tests' quantiles avoid.
-NEVER_LOADED = ("scipy", "numpy.ma")
+# Loaded by no run: scipy is a test dependency, numpy.ma comes with
+# np.percentile (through np.unique), which the tests' quantiles avoid, and
+# _hashlib is OpenSSL, which a run needs no hash from where Python has its own.
+NEVER_LOADED = ("scipy", "numpy.ma", "_hashlib")
 # Loaded only by what an exact run or `validate` never does: numpy.random and
-# hashlib (OpenSSL, via secrets/hmac too) serve sampling, and fractions/decimal
-# served gate labels.
-UNUSED_MODULES = NEVER_LOADED + ("numpy.random", "hashlib", "_hashlib", "secrets", "decimal",
-                                 "fractions")
+# hashlib (via secrets/hmac too) serve sampling, and fractions/decimal served
+# gate labels.
+UNUSED_MODULES = NEVER_LOADED + ("numpy.random", "hashlib", "secrets", "decimal", "fractions")
 # Loaded only once a run needs them: `import ctxdep`, the CLI module and
 # `validate` need no numerical layer.
 NUMERICAL_MODULES = ("numpy", "ctxdep.ptm", "ctxdep.noise", "ctxdep.experiment",
@@ -772,6 +793,7 @@ for name in calls:
 record("validate", setup_names, ctxdep.cli.main(["validate"]))
 for name, argv, run_names in runs:
     record(name, run_names, ctxdep.cli.main(argv))
+import _hashlib  # the runs blocked it for their imports only
 print(json.dumps(found))
 """
 
