@@ -123,13 +123,13 @@ class CalibrationMatrices:
 
 @dataclass
 class TestReport:
-    """Result of one context test over a sequence family."""
+    """Result of one context test over a sequence family: every report carries a verdict."""
 
-    kind: str  # PermDet | CyclicFid | RepLinearity | Volume | CPWitness
+    kind: str  # PermDet | CyclicFid | RepLinearity | CPWitness
     member_labels: list[str]
     statistics: np.ndarray
-    verdict: Verdict | None  # None for a descriptive series such as Volume
-    threshold: float | None
+    verdict: Verdict
+    threshold: float
     summary: dict
     ci_low: np.ndarray | None = None
     ci_high: np.ndarray | None = None
@@ -172,7 +172,7 @@ class TestReport:
 
         out = {
             "kind": self.kind,
-            "verdict": None if self.verdict is None else self.verdict.value,
+            "verdict": self.verdict.value,
             "threshold": _clean(self.threshold, "threshold"),
             "summary": _clean(self.summary, "summary"),
             "members": [_member(j, label) for j, label in enumerate(self.member_labels)],
@@ -644,6 +644,10 @@ def repetition_test(
             statistic_for_threshold = chi2
 
     details["observed_statistic"] = statistic_for_threshold
+    try:
+        volume_ratio = math.exp(slope)
+    except OverflowError:  # a fit rising past the float range
+        volume_ratio = math.inf
     summary = {
         "slope": slope,
         "intercept": intercept,
@@ -652,6 +656,8 @@ def repetition_test(
         "chi2": chi2,
         "p_value": p_value,
         "n_excluded": int((~good).sum()),
+        "volume_ratio": volume_ratio,
+        "unitarity_tilde": volume_ratio ** (2.0 / (tables[0].entries.shape[0] - 1)),
     }
     return _report("RepLinearity", tables, l_values, statistic_for_threshold, (thr95, thr99),
                    (ci_low, ci_high), summary, details)

@@ -8,9 +8,10 @@ Usage:
 
 The config is flat ``key = value`` text; see the README for the grammar and
 the full key list.  Outputs per coupling angle: raw tables (CSV), one JSON
-report per test, and a plot-ready CSV per test.  Exit status is 2 when any
-test returns a ContextDependent verdict, 1 on errors, and 0 otherwise, also
-when some verdicts are Inconclusive.  ``CTXDEP_LOG=info`` logs each coupling
+report per test, each with a verdict, and a plot-ready CSV per test but the
+divisibility witness.  Exit status is 2 when any test returns a
+ContextDependent verdict, 1 on errors, and 0 otherwise, also when some
+verdicts are Inconclusive.  ``CTXDEP_LOG=info`` logs each coupling
 angle's stage wall times; ``debug`` also names the product path each family
 took.
 """
@@ -77,30 +78,6 @@ def _reference_table(cfg: RunConfig, model) -> experiment.ProbabilityTable:
     return table
 
 
-def _volume_report(report: analysis.TestReport) -> analysis.TestReport:
-    """Accessible-volume series of a repetition family's log-dets.
-
-    Volumes are relative to the first member with a finite log-det, named
-    in ``summary.normalized_to``; with none, that is null and every volume
-    NaN.  Descriptive output, not a hypothesis test, so it carries no
-    verdict or threshold.
-    """
-    import numpy as np
-
-    from .analysis import TestReport
-
-    ref = next((j for j, value in enumerate(report.statistics) if np.isfinite(value)), None)
-    l0 = np.nan if ref is None else report.statistics[ref]
-    return TestReport(
-        kind="Volume",
-        member_labels=report.member_labels,
-        statistics=np.exp(report.statistics - l0),
-        verdict=None,
-        threshold=None,
-        summary={"normalized_to": None if ref is None else report.member_labels[ref]},
-    )
-
-
 def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.TestReport]:
     """Run the family's tests; return their reports."""
     from . import analysis
@@ -112,7 +89,7 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.Te
         return [analysis.cyclic_fidelity_test(tables, p0, r=cfg.cyclic_order, **boot)]
     report = analysis.repetition_test(tables, family.m_values, cal, **boot)
     witness = analysis.cp_witness(family.m_values, report.statistics, report.ci_low, report.ci_high)
-    return [report, witness, _volume_report(report)]
+    return [report, witness]
 
 
 def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
@@ -199,8 +176,7 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict,
     """Tables and tests of one family under one model; ``writer`` writes the artifacts.
 
     The tables are queued before the tests run, the reports after them.
-    Adds each stage's wall time to ``stage_s``; returns the reports that
-    carry a verdict (descriptive ones, such as the volume series, do not).
+    Adds each stage's wall time to ``stage_s``; returns the reports.
     """
     from . import experiment
 
@@ -215,7 +191,7 @@ def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict,
     writer.write(_emit_reports, family, reports, phi, out_dir)
     stage_s["tables"] += t1 - t0
     stage_s["tests"] += t2 - t1
-    return [report for report in reports if report.verdict is not None]
+    return reports
 
 
 def build_model(params: NoiseParams) -> TwoQubitModel:

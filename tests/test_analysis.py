@@ -42,7 +42,7 @@ from ctxdep import (
 from ctxdep import analysis
 from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
 from ctxdep.analysis import _fidelities_observed
-from ctxdep.config import parse_config
+from ctxdep.config import SCENARIOS, parse_config
 from ctxdep.experiment import resample_cells
 from ctxdep.ptm import log_abs_det_many
 
@@ -766,6 +766,28 @@ class TestRepetitionTest:
         else:
             assert report.verdict is Verdict.CONTEXT_INDEPENDENT
 
+    @pytest.mark.parametrize("scenario,block", [("fig3a", 0), ("fig3b", 0), ("fig3b", 1),
+                                                ("fig3b", 2)])
+    def test_volume_and_unitarity_match_generator_trace(self, scenario, block):
+        # Jacobi: det e^{tL} = e^{t tr L}, and the rotations are traceless, so
+        # at phi = 0 the block's volume ratio is exp(-2 t_gate (g1 + g3 + gphi) d)
+        # for a block of summed gate durations d; SPAM maps must not move it
+        cfg = parse_config(f"scenario = {scenario}")
+        family = cfg.families()[block]
+        duration = sum(g.duration for g in SCENARIOS[scenario][1][block][1])
+        p = cfg.noise_params(0.0)
+        expected = np.exp(-2.0 * p.t_gate * (p.gamma1 + p.gamma3 + p.gamma_phi) * duration)
+        model = build_model(p)
+        rng = np.random.default_rng(71)
+        distorted = distort_spam(model, random_spam_distortion(rng, cond=100.0),
+                                 random_spam_distortion(rng, cond=100.0))
+        for m in (model, distorted):
+            report = repetition_test(family_tables(family, m), family.m_values,
+                                     ideal_calibration())
+            volume, unitarity = (report.summary[k] for k in ("volume_ratio", "unitarity_tilde"))
+            assert volume == pytest.approx(expected, rel=1e-12, abs=0)
+            assert unitarity == pytest.approx(volume ** (2 / 3), rel=1e-12, abs=0)
+
     def test_singular_member_excluded(self, baseline_model):
         family = repetition_family([GATE_X_PI], [0, 1, 2, 3, 4])
         tables = family_tables(family, baseline_model)
@@ -773,6 +795,19 @@ class TestRepetitionTest:
         report = repetition_test(tables, family.m_values, ideal_calibration())
         assert report.summary["n_excluded"] == 1
         assert report.summary["residual_norm"] < 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_volume_past_float_range_or_without_fit_is_null(self):
+        # log|det| rises by 720 per step, so exp(slope) overflows a float; two
+        # finite members fit no line, so the slope is NaN
+        rising = [ProbabilityTable(np.diag([np.exp(180.0 * m)] * 4), None, f"m{m}")
+                  for m in range(4)]
+        dead = [ProbabilityTable(np.zeros((4, 4)), None, f"d{m}") for m in range(2)]
+        for tables in (rising, rising[:2] + dead):
+            doc = repetition_test(tables, range(4), ideal_calibration()).to_dict()
+            assert doc["summary"]["volume_ratio"] is doc["summary"]["unitarity_tilde"] is None
+            assert {"summary.volume_ratio", "summary.unitarity_tilde"} <= set(
+                doc["details"]["non_finite"])
 
 
 class TestUnitarity:

@@ -11,12 +11,10 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ctxdep import analysis, read_table_csv
-from ctxdep.analysis import TestReport as Report  # aliased: pytest collects Test*
-from ctxdep.cli import _replacing, _volume_report, main, run_scenario
+from ctxdep.cli import _replacing, main, run_scenario
 from ctxdep.config import (
     KEYS,
     SCENARIOS,
@@ -236,8 +234,10 @@ class TestRunScenario:
         report = json.loads(Path(phi_dir, "report_replinearity_X_pi.json").read_text())
         assert report["kind"] == "RepLinearity"
         assert report["verdict"] == "ContextIndependent"
+        # the block's volume and unitarity are summary numbers, not a report of their own
+        assert {"volume_ratio", "unitarity_tilde"} <= report["summary"].keys()
         assert os.path.exists(os.path.join(phi_dir, "report_cpwitness_X_pi.json"))
-        assert os.path.exists(os.path.join(phi_dir, "report_volume_X_pi.json"))
+        assert not list(Path(cfg.output_dir).rglob("*volume*"))
         plot = Path(phi_dir, "plot_replinearity_X_pi.csv").read_text().splitlines()
         assert plot[0] == "index,statistic,ci_low,ci_high,phi"
         assert len(plot) == 6
@@ -275,19 +275,6 @@ class TestRunScenario:
         assert status == 0
         out = capsys.readouterr().out
         assert out.count("CyclicFid") == 2 and "ContextIndependent" not in out
-
-    def test_volume_report_carries_no_verdict(self, tmp_path, capsys):
-        # at this coupling RepLinearity on the same tables is ContextDependent,
-        # so a descriptive series must not claim ContextIndependent
-        cfg, status = self._run(tmp_path, "scenario = fig3a\nphi_values = [0.02]\n")
-        assert status == 2
-        assert "Volume" not in capsys.readouterr().out
-        phi_dir = Path(cfg.output_dir) / "phi_0.02"
-        volume = json.loads((phi_dir / "report_volume_I.json").read_text())
-        assert volume["kind"] == "Volume"
-        assert volume["verdict"] is None and volume["threshold"] is None
-        replinearity = json.loads((phi_dir / "report_replinearity_I.json").read_text())
-        assert replinearity["verdict"] == "ContextDependent"
 
     def test_custom_permutation_sampled(self, tmp_path, capsys):
         cfg, status = self._run(
@@ -544,22 +531,14 @@ class TestMain:
         assert "CPWitness" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_volume_skips_a_singular_first_member(self, tmp_path, capsys):
-        # at 1 shot and seed 1 the m = 0 table at phi = 0 is singular; the
-        # series used to subtract its -inf log-det (a RuntimeWarning, NaN volumes)
+    def test_repetition_skips_a_singular_first_member(self, tmp_path, capsys):
+        # at 1 shot and seed 1 the m = 0 table at phi = 0 is singular: the fit
+        # and the witness must leave it out without a RuntimeWarning
         argv = ["run", "--scenario", "fig3a", "--shots", "1", "--seed", "1"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
-        phi_dir = tmp_path / "phi_0"
-        volume = json.loads((phi_dir / "report_volume_I.json").read_text())
-        rep = json.loads((phi_dir / "report_replinearity_I.json").read_text())
-        log_dets = [m["statistic"] for m in rep["members"]]
-        first = next(j for j, value in enumerate(log_dets) if value is not None)
-        assert first > 0
-        assert volume["summary"]["normalized_to"] == rep["members"][first]["label"]
-        for value, member in zip(log_dets, volume["members"]):
-            expected = 0.0 if value is None else math.exp(value - log_dets[first])
-            assert member["statistic"] == pytest.approx(expected, rel=1e-12)
-        assert "non_finite" not in volume["details"]
+        rep = json.loads((tmp_path / "phi_0" / "report_replinearity_I.json").read_text())
+        assert rep["members"][0]["statistic"] is None
+        assert rep["summary"]["n_excluded"] >= 1
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -683,8 +662,8 @@ class TestArtifactWriter:
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
             "1dab720fe04520b0c0b120c45ca6380a30dc49001b2532770778e57c429523b7", "delta"),
         "fig3b-exact": (
-            "scenario = fig3b\nshots = exact\n", 96,
-            "aeb0b7c50d472c73279bf93ea05fbce1581c36c251c55d9cc3e06f407d7e8b32", None),
+            "scenario = fig3b\nshots = exact\n", 84,
+            "9076a32993c6903cae4761b91eb23c3b34f7ae3b8bb538beae02f3da0b1a0ace", None),
         "permutation-sampled": (
             'scenario = custom\nfamily = permutation\ngates = "I X_pi"\nn = 6\nshots = 1000\n'
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 18,
@@ -696,8 +675,8 @@ class TestArtifactWriter:
         "repetition-sampled": (
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
             "m_values = [0, 10, 20, 30, 40]\nshots = 1000\n"
-            "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 20,
-            "a103f88d50197b8ee09f991e8b0308c60b3142fbd8cd4a49c8e9bcf27c6d7489", "bootstrap"),
+            "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 16,
+            "c0bebe7af28d2c5fc89767cd290c9ca6abf0b9a1e91a3c1ab2ccad5fe4202f4d", "bootstrap"),
     }
 
     @pytest.mark.parametrize("text,n_files,digest,method", PINNED.values(), ids=PINNED.keys())
@@ -736,14 +715,6 @@ def test_readme_config_block_lists_every_key():
     keys = re.findall(r"^(\w+)\s*=", block, flags=re.MULTILINE)
     assert len(keys) == len(set(keys))
     assert set(keys) == set(KEYS)
-
-
-def test_volume_without_finite_member_names_none():
-    report = Report("RepLinearity", ["m0", "m1"], np.array([-np.inf, np.nan]), None, None, {})
-    with np.errstate(all="raise"):
-        volume = _volume_report(report)
-    assert volume.summary["normalized_to"] is None
-    assert np.isnan(volume.statistics).all()
 
 
 # Loaded by no run: scipy is a test dependency, numpy.ma comes with
