@@ -71,7 +71,9 @@ logger = logging.getLogger(__name__)
 EXACT_SPREAD_TOL = 1e-9
 # Residual 2-norm below which an exact-table decay series counts as linear.
 LINEAR_RESIDUAL_TOL = 1e-8
-# Reject solves against matrices more ill-conditioned than this.
+# Reject solves against matrices more ill-conditioned than this.  An LU log-det
+# is off by about n cond eps, which reaches the 1e-9 exact floor near cond 1e6,
+# so an exact table beyond it counts as singular.
 CONDITION_LIMIT = 1e6
 # The first-order expansion of (P + dP)^-1 converges while ||P^-1 dP|| < 1.  A
 # reference table whose ||P^-1||_2 ||sd(P)||_F reaches this bound has shot noise
@@ -108,7 +110,8 @@ class CalibrationMatrices:
 
     ``b[:, k]`` holds the coordinates of effect ``k``, ``c[:, i]`` those of
     preparation ``i``; a table satisfies ``P = B^T S C`` when the nominal
-    descriptions are accurate.
+    descriptions are accurate.  ``cond_b`` and ``cond_c`` are their 1-norm
+    condition numbers.
     """
 
     b: np.ndarray
@@ -183,8 +186,10 @@ class TestReport:
         return out
 
 
-def _cond(matrix: np.ndarray) -> float:
-    return float(np.linalg.cond(matrix))
+def _cond(matrix: np.ndarray):
+    # 1-norm (inf if singular, also per matrix of a stack): it needs one LU
+    # inverse, on the path slogdet and solve use, where the 2-norm needs the SVD
+    return np.linalg.cond(matrix, 1)
 
 
 def calibration_from_states_effects(states, effects) -> CalibrationMatrices:
@@ -322,10 +327,13 @@ def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> 
 def _log_dets(tables, resamples: int, seed: int):
     """``log|det P|`` of the stacked member tables, in one ``slogdet`` call, and the
     log-dets of their bootstrap draws in table order, as :func:`_null_blocks`
-    (``None`` if all exact).
+    (``None`` if all exact).  An exact member whose condition exceeds
+    ``CONDITION_LIMIT`` gets ``-inf``, as a singular one does.
     """
-    observed = log_abs_det_many(np.stack([t.entries for t in tables]))
+    entries = np.stack([t.entries for t in tables])
+    observed = log_abs_det_many(entries)
     if all(t.is_exact for t in tables):
+        observed[_cond(entries) > CONDITION_LIMIT] = -np.inf  # roundoff, not a determinant
         return observed, None
     return observed, _null_blocks(range(len(tables)), resamples, lambda j: log_abs_det_many(
         resample_cells(tables[j], resamples, seed)))
@@ -515,7 +523,7 @@ def cyclic_fidelity_test(
     bootstrap instead (see :func:`_cyclic_bootstrap`).
     """
     p0_entries = np.asarray(p0.entries, dtype=float)
-    cond = _cond(p0_entries)
+    cond = float(np.linalg.cond(p0_entries))
     ill = None if cond <= CONDITION_LIMIT else (  # also for a NaN condition number
         f"reference table condition number {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
     )

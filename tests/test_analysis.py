@@ -148,6 +148,7 @@ class TestIdealCalibration:
         cal = ideal_calibration()
         assert cal.cond_b < 10.0
         assert cal.cond_c < 10.0
+        assert cal.cond_b == np.linalg.cond(cal.b, 1)  # 1-norm: no SVD
 
     def test_refuses_incomplete_set(self):
         ket0 = np.array([1.0, 0.0], dtype=complex)
@@ -280,6 +281,18 @@ class TestDetPermutationTest:
         assert report.details["singular_members"] == ["dead"]
         assert report.summary["n_singular"] == 1
 
+    def test_ill_conditioned_exact_member_counts_as_singular(self, baseline_model):
+        # a 1-norm condition of 1e8 leaves slogdet finite, but an LU log-det is
+        # then off by about n cond eps, past the 1e-9 exact floor
+        table = prob_table(seq("ok", GATE_X_PI), baseline_model)
+        ill = ProbabilityTable(np.diag([0.5, 0.5, 0.5, 0.5e-8]), None, "ill")
+        assert np.isfinite(log_abs_det(ill.entries))
+        assert np.linalg.cond(ill.entries, 1) == pytest.approx(1e8)
+        report = det_permutation_test([table, ill, table])
+        assert report.details["singular_members"] == ["ill"]
+        assert report.summary["n_singular"] == 1
+        assert report.verdict is Verdict.CONTEXT_INDEPENDENT
+
 
 class TestCyclicFidelityTest:
     def test_exact_null_case(self, baseline_model):
@@ -409,7 +422,8 @@ class TestCyclicFidelityTest:
     def test_reference_condition_is_always_reported(self, baseline_model):
         p0 = prob_table(seq("ref"), baseline_model)
         report = cyclic_fidelity_test([p0], p0, r=1)
-        assert report.details["reference_condition"] == pytest.approx(np.linalg.cond(p0.entries))
+        # the 2-norm value: only the calibration check takes the 1-norm
+        assert report.details["reference_condition"] == np.linalg.cond(p0.entries)
 
     def test_observed_fidelities_match_exact_arithmetic(self):
         # the refined solve must stay far below the 1e-9 floor even when SPAM

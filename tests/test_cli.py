@@ -530,6 +530,17 @@ class TestMain:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "CPWitness" in capsys.readouterr().out
 
+    def test_rank_deficient_exact_tables_are_excluded(self, tmp_path, capsys):
+        # strong dephasing makes the exact tables singular from m = 25 on; their
+        # slogdet is finite roundoff, which a fit would read as curvature and
+        # call ContextDependent at zero coupling
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = fig3b\nshots = exact\ngamma_phi = 1e10\nphi_values = [0]\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "ContextDependent" not in capsys.readouterr().out
+        rep = json.loads((tmp_path / "out" / "phi_0" / "report_replinearity_X_pi.json").read_text())
+        assert rep["summary"]["n_excluded"] >= 1
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_repetition_skips_a_singular_first_member(self, tmp_path, capsys):
         # at 1 shot and seed 1 the m = 0 table at phi = 0 is singular: the fit
@@ -805,6 +816,21 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     assert found == {"import ctxdep": idle, "package names": idle, "parse every scenario": idle,
                      "import ctxdep.cli": idle, "validate": idle,
                      **{name: ran for name, _, _ in runs}}
+
+
+def test_exact_permutation_runs_need_no_svd(tmp_path, capsys, monkeypatch):
+    # an exact permutation run needs LU factorizations only; numpy's 2-norm
+    # cond, norm(., 2) and matrix_rank all call the svd of numpy's linalg module
+    argv = ["run", "--scenario", "fig2a", "--shots", "exact", "--out"]
+    assert main([*argv, str(tmp_path / "plain")]) == 2
+    linalg = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(linalg, "svd", refuse)
+    assert main([*argv, str(tmp_path / "no-svd")]) == 2
+    assert _tree_digest(tmp_path / "no-svd") == _tree_digest(tmp_path / "plain")
 
 
 def test_package_exports_each_layers_all():
