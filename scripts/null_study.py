@@ -1,10 +1,15 @@
-"""Size and power of the spread tests under their finite-shot null.
+"""Size and power of ctxdep's tests under their finite-shot null.
 
-Runs ``det_permutation_test`` on the fig2a family and ``cyclic_fidelity_test``
-on the fig2b family (order 2, 500 null draws) in-process, with the ctxdep tree
-found on ``PYTHONPATH``.  A seed's tables are sampled exactly as
-``ctxdep run --seed SEED`` samples them, so two trees whose ``sample_table``
-agrees see the same observed tables, and their verdicts pair up seed by seed.
+The arms are scenarios: fig2a (PermDet), fig2b (CyclicFid), and fig3a and
+fig3b (RepLinearity and CPWitness per repeated block).  For each seed and shot
+count the study sets ``seed`` and ``shots`` on the scenario's ``RunConfig``
+and calls the two steps that ``ctxdep run`` takes per family,
+``cli._simulate`` and ``cli._family_reports``, with the ideal calibration.
+So its rows are the reports a run at that seed would write, with the config's
+draw count and cyclic order (``bootstrap_resamples`` = 500, ``cyclic_order``
+= 2), and it has no code of its own per test.  It runs in-process, with the
+ctxdep tree found on ``PYTHONPATH``; that tree must have those two steps and
+``cli._report_name``, which trees before them lack, so they cannot be a baseline.
 
 Arms, one per (phi, SPAM, shots):
 
@@ -24,13 +29,16 @@ confirmation.  Usage, from the repository root::
     PYTHONPATH=PARENT/src python scripts/null_study.py run --seeds 8000-8199 --out old.json
     python scripts/null_study.py compare old.json new.json
 
-``run`` writes one row per (test, arm, seed); ``--shots`` narrows the shot
-counts.  Each row records the verdict, the null method the report names, and
-``linear_size``: the largest ``||P^-1||_2 ||sd(P)||_F`` over the tables the
-test inverts (the members for PermDet, the reference for CyclicFid).
+``run`` writes one row per (test, arm, seed); a test is a report's file name
+(``permdet``, ``cyclicfid``, ``replinearity_<block>``, ``cpwitness_<block>``),
+and ``--shots`` narrows the shot counts.  Each row records the verdict, the
+null method the report names, the statistic (``details.observed_statistic``,
+else ``summary.spread``), the report's ``threshold`` as ``threshold99``, and
+``linear_size``: the largest ``||P^-1||_2 ||sd(P)||_F`` over the reference
+table of a cyclic family, and over the members of any other.
 
 ``compare`` prints each arm's verdict counts for both files and the gate for
-each test.  The right verdict is ContextIndependent at phi = 0 and
+each test found in both.  The right verdict is ContextIndependent at phi = 0 and
 ContextDependent at a coupled phi; the other definite verdict is wrong.  At
 every arm the candidate may give at most one more wrong verdict per 100
 seeds than the baseline; at phi = 0 at most one fewer right verdict per 100
@@ -51,9 +59,7 @@ import numpy as np
 SHOTS = (100_000, 1_000)
 PHIS = (0.0, 0.001, 0.005)
 SPAM_CONDS = (10, 100, 1000)
-RESAMPLES = 500
-ORDER = 2
-TESTS = {"PermDet": "fig2a", "CyclicFid": "fig2b"}
+TESTS = ("fig2a", "fig2b", "fig3a", "fig3b")  # scenarios; each report is a test
 RIGHT = {True: "ContextIndependent", False: "ContextDependent"}  # keyed on phi == 0
 WRONG = {True: "ContextDependent", False: "ContextIndependent"}
 
@@ -92,68 +98,51 @@ def _finite(value):
     return value if value is not None and math.isfinite(value) else None
 
 
-class _Exact:
-    """Exact member and reference tables; each (test, phi) builds its noise model once."""
-
-    def __init__(self):
-        self._models: dict = {}
-
-    def tables(self, test: str, phi: float, cond, seed: int):
-        from ctxdep import experiment, noise
-        from ctxdep.cli import _reference_table
-        from ctxdep.config import parse_config
-
-        cfg = parse_config(f"scenario = {TESTS[test]}\n")
-        key = (test, phi)
-        if key not in self._models:
-            self._models[key] = noise.build_model(cfg.noise_params(phi))
-        model = self._models[key]
-        if cond is not None:
-            rng = np.random.default_rng([seed, cond])
-            model = noise.distort_spam(model, _spam_map(rng, math.sqrt(cond)),
-                                       _spam_map(rng, math.sqrt(cond)))
-        (family,) = cfg.families()
-        return experiment.family_tables(family, model), _reference_table(cfg, model)
-
-
 def run(seeds, shots_list, out_path: str) -> int:
-    from ctxdep import analysis, experiment
+    from ctxdep import analysis, noise
+    from ctxdep.cli import _family_reports, _report_name, _simulate, build_model
+    from ctxdep.config import parse_config
 
-    exact = _Exact()
+    cal = analysis.ideal_calibration()
     rows = []
     for phi in PHIS:
         for cond in (None, *SPAM_CONDS):
-            for test in TESTS:
-                cached = None if cond is not None else exact.tables(test, phi, None, 0)
+            for scenario in TESTS:
+                cfg = parse_config(f"scenario = {scenario}\n")
+                families = cfg.families()
+                model = build_model(cfg.noise_params(phi))
+                arm_rows = []
                 for seed in seeds:
-                    tables, p0 = cached or exact.tables(test, phi, cond, seed)
+                    distorted = model
+                    if cond is not None:
+                        rng = np.random.default_rng([seed, cond])
+                        distorted = noise.distort_spam(model, _spam_map(rng, math.sqrt(cond)),
+                                                       _spam_map(rng, math.sqrt(cond)))
                     for shots in shots_list:
-                        sampled = [experiment.sample_table(t, shots, seed) for t in tables]
-                        if test == "PermDet":
-                            report = analysis.det_permutation_test(
-                                sampled, resamples=RESAMPLES, seed=seed)
-                            size = _linear_size(sampled)
-                        else:
-                            ref = experiment.sample_table(p0, shots, seed)
-                            report = analysis.cyclic_fidelity_test(
-                                sampled, ref, r=ORDER, resamples=RESAMPLES, seed=seed)
-                            size = _linear_size([ref])
-                        rows.append({
-                            "test": test, "arm": _arm(phi, cond, shots), "phi": phi,
-                            "seed": seed, "verdict": report.verdict.value,
-                            "null": report.details.get("null", {}).get("method"),
-                            "spread": _finite(report.summary["spread"]),
-                            "threshold99": _finite(report.summary["threshold99"]),
-                            "linear_size": _finite(size),
-                        })
-                for shots in shots_list:
-                    arm = _arm(phi, cond, shots)
-                    arm_rows = [r for r in rows if r["test"] == test and r["arm"] == arm]
-                    counts = Counter(r["verdict"] for r in arm_rows)
-                    nulls = Counter(r["null"] for r in arm_rows)
-                    print(f"{test:9s} {arm:26s} " + ", ".join(
+                        cfg.seed, cfg.shots = seed, shots
+                        for family in families:
+                            tables, p0 = _simulate(cfg, family, distorted)
+                            size = _linear_size(tables if p0 is None else [p0])
+                            for report in _family_reports(cfg, family, tables, p0, cal):
+                                statistic = report.details.get(
+                                    "observed_statistic", report.summary.get("spread"))
+                                arm_rows.append({
+                                    "test": _report_name(family, report),
+                                    "arm": _arm(phi, cond, shots), "phi": phi, "seed": seed,
+                                    "verdict": report.verdict.value,
+                                    "null": report.details.get("null", {}).get("method"),
+                                    "statistic": _finite(statistic),
+                                    "threshold99": _finite(report.threshold),
+                                    "linear_size": _finite(size),
+                                })
+                for test, arm in dict.fromkeys((r["test"], r["arm"]) for r in arm_rows):
+                    group = [r for r in arm_rows if r["test"] == test and r["arm"] == arm]
+                    counts = Counter(r["verdict"] for r in group)
+                    nulls = Counter(r["null"] for r in group)
+                    print(f"{test:26s} {arm:26s} " + ", ".join(
                         f"{v}={counts[v]}" for v in sorted(counts)) + "  null: " + ", ".join(
-                        f"{m}={nulls[m]}" for m in sorted(nulls)), flush=True)
+                        f"{m}={nulls[m]}" for m in sorted(nulls, key=str)), flush=True)
+                rows += arm_rows
     with open(out_path, "w") as fh:
         json.dump({"seeds": [seeds[0], seeds[-1]], "rows": rows}, fh, indent=1)
         fh.write("\n")
@@ -168,13 +157,13 @@ def _load(path):
 
 def compare(baseline_path: str, candidate_path: str) -> int:
     base, cand = _load(baseline_path), _load(candidate_path)
-    keys = sorted(set(base) & set(cand))
+    keys = [k for k in cand if k in base]
     if not keys:
         print("no common (test, arm, seed) rows", file=sys.stderr)
         return 1
     gates = {}
-    for test in TESTS:
-        arms = dict.fromkeys(k[1] for k in cand if k[0] == test and k in base)
+    for test in dict.fromkeys(k[0] for k in keys):
+        arms = dict.fromkeys(k[1] for k in keys if k[0] == test)
         print(f"\n{test}: baseline/candidate")
         print(f"  {'arm':26s} {'seeds':>5s}  {'dep':>9s} {'inc':>9s} {'ind':>9s}"
               "  candidate nulls, max linear_size")

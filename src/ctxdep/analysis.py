@@ -324,16 +324,21 @@ def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> 
     return TestReport(kind, labels, stats, verdict, thr99, summary, *ci, details)
 
 
-def _log_dets(tables, resamples: int, seed: int):
+def _log_dets(tables, resamples: int, seed: int, details: dict):
     """``log|det P|`` of the stacked member tables, in one ``slogdet`` call, and the
     log-dets of their bootstrap draws in table order, as :func:`_null_blocks`
     (``None`` if all exact).  An exact member whose condition exceeds
-    ``CONDITION_LIMIT`` gets ``-inf``, as a singular one does.
+    ``CONDITION_LIMIT`` gets ``-inf``, as a singular one does, and
+    ``details["excluded_condition"]`` maps the label of each such member to its condition.
     """
     entries = np.stack([t.entries for t in tables])
     observed = log_abs_det_many(entries)
     if all(t.is_exact for t in tables):
-        observed[_cond(entries) > CONDITION_LIMIT] = -np.inf  # roundoff, not a determinant
+        cond = _cond(entries)
+        observed[cond > CONDITION_LIMIT] = -np.inf  # roundoff, not a determinant
+        excluded = {t.label: c for t, c, v in zip(tables, cond, observed) if not np.isfinite(v)}
+        if excluded:
+            details["excluded_condition"] = excluded
         return observed, None
     return observed, _null_blocks(range(len(tables)), resamples, lambda j: log_abs_det_many(
         resample_cells(tables[j], resamples, seed)))
@@ -436,12 +441,13 @@ def det_permutation_test(
     reported shifted into raw-estimate units (a constant offset).  The
     finite-shot null is the parametric bootstrap's.
     """
-    l_values, null = _log_dets(tables, resamples, seed)
+    details: dict = {}
+    l_values, null = _log_dets(tables, resamples, seed, details)
     singular = [t.label for t, v in zip(tables, l_values) if not np.isfinite(v)]
     if singular:
         logger.warning("singular tables flagged: %s", ", ".join(singular))
     summary: dict = {"n_singular": len(singular)}
-    details: dict = {"singular_members": singular}
+    details["singular_members"] = singular
     if cal is not None:
         offset = cal.log_abs_det
         summary["raw_units_offset"] = -offset
@@ -594,7 +600,8 @@ def repetition_test(
 
     labels = [t.label for t in tables]
     offset = cal.log_abs_det
-    l_values, null = _log_dets(tables, resamples, seed)
+    details: dict = {"m_values": m_values}
+    l_values, null = _log_dets(tables, resamples, seed, details)
     boots = None if null is None else np.concatenate([block for _, block in null])
     l_values = l_values - offset
     good = np.isfinite(l_values)
@@ -604,7 +611,6 @@ def repetition_test(
             ", ".join(lbl for lbl, g in zip(labels, good) if not g),
         )
 
-    details: dict = {"m_values": m_values}
     ci_low = ci_high = None
     if boots is None:
         weights = np.ones(good.sum())
@@ -647,7 +653,9 @@ def repetition_test(
             centered = boots[good] - boots[good].mean(axis=1, keepdims=True)
             null_slopes, _, _, null_chi2 = _weighted_line_fit(x, fitted + centered, weights)
             thr95, thr99 = _percentiles(null_chi2, [95.0, 99.0])
-            p_value = float(np.mean(null_chi2 >= chi2))
+            # Monte Carlo p-value: the observed fit counts as one more draw
+            # (Davison & Hinkley 1997, sec. 4.2), so it never reads 0
+            p_value = float((1 + np.count_nonzero(null_chi2 >= chi2)) / (null_chi2.size + 1))
             slope_stderr = float(np.std(null_slopes, ddof=1))
             statistic_for_threshold = chi2
 

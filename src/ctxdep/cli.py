@@ -68,14 +68,17 @@ def _emit_tables(tables, out_dir: str) -> None:
             write_table_csv(t, tmp)
 
 
-def _reference_table(cfg: RunConfig, model) -> experiment.ProbabilityTable:
+def _simulate(cfg: RunConfig, family, model) -> tuple[list, experiment.ProbabilityTable | None]:
+    """Member tables and, for a cyclic family, the reference (else ``None``), at ``cfg.shots``."""
     from . import experiment
 
-    ref_seq = experiment.Sequence(gates=cfg.reference, label="reference")
-    table = experiment.prob_table(ref_seq, model)
+    tables = experiment.family_tables(family, model, shots=cfg.shots, seed=cfg.seed)
+    if family.kind != "cyclic":
+        return tables, None
+    p0 = experiment.prob_table(experiment.Sequence(gates=cfg.reference, label="reference"), model)
     if cfg.shots is not None:
-        table = experiment.sample_table(table, cfg.shots, cfg.seed)
-    return table
+        p0 = experiment.sample_table(p0, cfg.shots, cfg.seed)
+    return tables, p0
 
 
 def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.TestReport]:
@@ -92,16 +95,18 @@ def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.Te
     return [report, witness]
 
 
-def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
-    """Write each report's ``report_<kind>.json`` and, but for CPWitness, ``plot_<kind>.csv``.
+def _report_name(family, report) -> str:
+    """``<kind>`` of ``report_<kind>.json``: the report's kind in lower case, plus
+    ``_<block>`` for a repetition family, whose plots are indexed by ``m``."""
+    if family.m_values is None:
+        return report.kind.lower()
+    return report.kind.lower() + "_" + _sanitize(family.description.strip("()^m"))
 
-    ``<kind>`` is the report's kind in lower case, plus ``_<block>`` for a
-    repetition family, whose plots are indexed by ``m``.
-    """
-    repetition = family.m_values is not None
-    suffix = "_" + _sanitize(family.description.strip("()^m")) if repetition else ""
+
+def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
+    """Write each report's ``report_<kind>.json`` and, but for CPWitness, ``plot_<kind>.csv``."""
     for report in reports:
-        name = report.kind.lower() + suffix
+        name = _report_name(family, report)
         # streamed, so the whole JSON text is never held in memory
         with _replacing(os.path.join(out_dir, f"report_{name}.json")) as tmp, open(tmp, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
@@ -111,7 +116,7 @@ def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
         stats = report.statistics
         lo = stats if report.ci_low is None else report.ci_low
         hi = stats if report.ci_high is None else report.ci_high
-        xs = family.m_values if repetition else range(len(stats))
+        xs = range(len(stats)) if family.m_values is None else family.m_values
         lines = ["index,statistic,ci_low,ci_high,phi"]
         for j, x in enumerate(xs):
             lines.append(f"{x},{float(stats[j])!r},{float(lo[j])!r},{float(hi[j])!r},{phi!r}")
@@ -173,16 +178,11 @@ def _log_stages(writer: _Writer, phi: float, stage_s: dict) -> None:
 
 def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict,
                 writer: _Writer) -> list:
-    """Tables and tests of one family under one model; ``writer`` writes the artifacts.
-
-    The tables are queued before the tests run, the reports after them.
-    Adds each stage's wall time to ``stage_s``; returns the reports.
-    """
-    from . import experiment
-
+    """:func:`_simulate`, then :func:`_family_reports`, whose reports it returns; ``writer``
+    gets the tables before the tests run, the reports after them.  Adds each stage's wall
+    time to ``stage_s``."""
     t0 = time.perf_counter()
-    tables = experiment.family_tables(family, model, shots=cfg.shots, seed=cfg.seed)
-    p0 = _reference_table(cfg, model) if family.kind == "cyclic" else None
+    tables, p0 = _simulate(cfg, family, model)
     t1 = time.perf_counter()
     writer.write(_emit_tables, tables if p0 is None else [*tables, p0],
                  os.path.join(out_dir, "tables"))

@@ -292,6 +292,9 @@ class TestDetPermutationTest:
         assert report.details["singular_members"] == ["ill"]
         assert report.summary["n_singular"] == 1
         assert report.verdict is Verdict.CONTEXT_INDEPENDENT
+        # the report says why the member was left out; with none left out it says nothing
+        assert report.details["excluded_condition"] == pytest.approx({"ill": 1e8})
+        assert "excluded_condition" not in det_permutation_test([table, table]).details
 
 
 class TestCyclicFidelityTest:
@@ -675,6 +678,19 @@ class TestRepetitionTest:
             4.0 * report.summary["slope_stderr"]
         )
 
+    def test_p_value_never_reads_zero(self):
+        # sampled fig3a at phi = 0.02, as `ctxdep run --shots 100000 --seed 3`
+        # draws it: chi2 1770 against a 99% threshold of 20, beyond every null
+        # draw, so the Monte Carlo p-value is its floor 1/(R + 1), not 0
+        cfg = parse_config("scenario = fig3a\nshots = 100000\nseed = 3\n")
+        (family,) = cfg.families()
+        tables = family_tables(family, build_model(cfg.noise_params(0.02)), shots=cfg.shots,
+                               seed=cfg.seed)
+        report = repetition_test(tables, family.m_values, ideal_calibration(),
+                                 resamples=cfg.bootstrap_resamples, seed=cfg.seed)
+        assert report.summary["chi2"] > report.threshold
+        assert report.summary["p_value"] == 1 / 501
+
     def test_requires_enough_points(self, baseline_model):
         family = repetition_family([GATE_X_PI], [0, 1, 2])
         tables = family_tables(family, baseline_model)
@@ -761,7 +777,7 @@ class TestRepetitionTest:
             np.std(null_slopes, ddof=1), rel=1e-10
         )
         assert report.threshold == pytest.approx(np.percentile(null_chi2, 99.0), rel=1e-10)
-        assert report.summary["p_value"] == np.mean(null_chi2 >= chi2)
+        assert report.summary["p_value"] == (1 + np.sum(null_chi2 >= chi2)) / (len(null_chi2) + 1)
         assert report.details["null"] == {"method": "bootstrap", "draws": 200,
                                           "non_finite_frac": 0.0}
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -14,11 +15,20 @@ from pathlib import Path
 import pytest
 
 from ctxdep import analysis, read_table_csv
-from ctxdep.cli import _replacing, main, run_scenario
+from ctxdep.cli import (
+    _family_reports,
+    _replacing,
+    _report_name,
+    _simulate,
+    build_model,
+    main,
+    run_scenario,
+)
 from ctxdep.config import (
     KEYS,
     SCENARIOS,
     ConfigError,
+    _phi_dir_name,
     load_config,
     parse_config,
     parse_gate_string,
@@ -393,6 +403,24 @@ def test_traced_layer_names_resolve(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
 
 
+def _study_imports():
+    # scripts/null_study.py imports ctxdep's own steps inside its functions (so
+    # that `compare` needs no ctxdep); renaming any of them breaks the study
+    path = Path(__file__).resolve().parents[1] / "scripts" / "null_study.py"
+    return list(dict.fromkeys(
+        (node.module, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "ctxdep"
+        for alias in node.names))
+
+
+@pytest.mark.parametrize("module_name,attr", _study_imports())
+def test_null_study_names_resolve(module_name, attr):
+    module = importlib.import_module(module_name)
+    if not hasattr(module, attr):  # `from package import submodule` imports it
+        importlib.import_module(f"{module_name}.{attr}")
+    assert getattr(module, attr) is not None
+
+
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -530,6 +558,20 @@ class TestMain:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "CPWitness" in capsys.readouterr().out
 
+    def test_excluded_exact_members_name_their_condition(self, tmp_path, capsys):
+        # at gamma_phi = 1e12 the m = 0 member has a finite log-det (-55.7) but a
+        # 1-norm condition of 2.5e8; the rank-deficient members read 3.6e16 and
+        # up, or inf (written null), and the report must tell them apart
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = fig3b\nshots = exact\ngamma_phi = 1e12\nphi_values = [0]\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        rep = json.loads((tmp_path / "out" / "phi_0" / "report_replinearity_X_pi.json").read_text())
+        excluded = rep["details"]["excluded_condition"]
+        assert len(excluded) == rep["summary"]["n_excluded"]
+        assert excluded["X_pi_m0000"] == pytest.approx(2.5e8, rel=0.01)
+        assert excluded["X_pi_m0075"] is None
+        assert "details.excluded_condition.X_pi_m0075" in rep["details"]["non_finite"]
+
     def test_rank_deficient_exact_tables_are_excluded(self, tmp_path, capsys):
         # strong dephasing makes the exact tables singular from m = 25 on; their
         # slogdet is finite roundoff, which a fit would read as curvature and
@@ -665,8 +707,10 @@ class TestArtifactWriter:
     # test took the delta-method null; every table file stayed
     # byte-identical.  The cyclic run at 10 shots, whose reference is too
     # noisy for the delta method, and the repetition run pin the other two
-    # null paths.  ``method`` is the details.null.method of every report
-    # that has a null.
+    # null paths; the repetition digest was re-captured when its p-value
+    # took the Monte Carlo form (1 + #{null >= chi2}) / (R + 1), the only
+    # bytes that changed.  ``method`` is the details.null.method of every
+    # report that has a null.
     PINNED = {
         "cyclic-sampled": (
             'scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 1000\n'
@@ -687,8 +731,27 @@ class TestArtifactWriter:
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
             "m_values = [0, 10, 20, 30, 40]\nshots = 1000\n"
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 16,
-            "c0bebe7af28d2c5fc89767cd290c9ca6abf0b9a1e91a3c1ab2ccad5fe4202f4d", "bootstrap"),
+            "d4312aeede20be12f20c6165df92685239d176c3f85f6308fd0a06fd803bbd02", "bootstrap"),
     }
+
+    @pytest.mark.parametrize("name", ["cyclic-sampled", "repetition-sampled"])
+    def test_study_steps_return_the_run_reports(self, tmp_path, capsys, name):
+        # scripts/null_study.py calls _simulate and _family_reports: serialized as
+        # _emit_reports does, their reports must be the files that the run writes
+        cfg = parse_config(self.PINNED[name][0] + f'output_dir = "{tmp_path}"\n')
+        run_scenario(cfg)
+        cal = analysis.ideal_calibration()
+        written = []
+        for phi in cfg.resolved_phi_values():
+            model = build_model(cfg.noise_params(phi))
+            for family in cfg.families():
+                for report in _family_reports(cfg, family, *_simulate(cfg, family, model), cal):
+                    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+                    file_name = f"report_{_report_name(family, report)}.json"
+                    path = tmp_path / _phi_dir_name(phi) / file_name
+                    assert path.read_bytes() == (text + "\n").encode()
+                    written.append(path)
+        assert sorted(written) == sorted(tmp_path.rglob("report_*.json"))
 
     @pytest.mark.parametrize("text,n_files,digest,method", PINNED.values(), ids=PINNED.keys())
     def test_artifacts_are_pinned(self, tmp_path, capsys, text, n_files, digest, method):
