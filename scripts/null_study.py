@@ -33,7 +33,10 @@ confirmation.  Usage, from the repository root::
 (``permdet``, ``cyclicfid``, ``replinearity_<block>``, ``cpwitness_<block>``),
 and ``--shots`` narrows the shot counts.  Each row records the verdict, the
 null method the report names, the statistic (``details.observed_statistic``,
-else ``summary.spread``), the report's ``threshold`` as ``threshold99``, and
+else ``summary.spread``, else ``summary.max_rise``), the report's
+``threshold`` as ``threshold99`` when the statistic is one of the first two,
+which a report judges against its threshold (else ``null``: a witness
+judges each rise on its own), and
 ``linear_size``: the largest ``||P^-1||_2 ||sd(P)||_F`` over the reference
 table of a cyclic family, and over the members of any other.
 
@@ -98,6 +101,16 @@ def _finite(value):
     return value if value is not None and math.isfinite(value) else None
 
 
+def _statistic(report) -> tuple:
+    """``(statistic, threshold99)`` of a row; see the module docstring."""
+    for source, key, judged in ((report.details, "observed_statistic", True),
+                                (report.summary, "spread", True),
+                                (report.summary, "max_rise", False)):
+        if key in source:
+            return source[key], report.threshold if judged else None
+    return None, None
+
+
 def run(seeds, shots_list, out_path: str) -> int:
     from ctxdep import analysis, noise
     from ctxdep.cli import _family_reports, _report_name, _simulate, build_model
@@ -124,15 +137,14 @@ def run(seeds, shots_list, out_path: str) -> int:
                             tables, p0 = _simulate(cfg, family, distorted)
                             size = _linear_size(tables if p0 is None else [p0])
                             for report in _family_reports(cfg, family, tables, p0, cal):
-                                statistic = report.details.get(
-                                    "observed_statistic", report.summary.get("spread"))
+                                statistic, threshold = _statistic(report)
                                 arm_rows.append({
                                     "test": _report_name(family, report),
                                     "arm": _arm(phi, cond, shots), "phi": phi, "seed": seed,
                                     "verdict": report.verdict.value,
                                     "null": report.details.get("null", {}).get("method"),
                                     "statistic": _finite(statistic),
-                                    "threshold99": _finite(report.threshold),
+                                    "threshold99": _finite(threshold),
                                     "linear_size": _finite(size),
                                 })
                 for test, arm in dict.fromkeys((r["test"], r["arm"]) for r in arm_rows):

@@ -250,7 +250,8 @@ _BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_blake2", "_sha3") if sys.version
 
 
 def _import_sampling_modules() -> None:
-    """Import ``numpy.random`` and ``hashlib`` without OpenSSL where Python has its own hashes.
+    """Import numpy's ``Generator`` and ``Philox`` and ``hashlib``, without OpenSSL
+    where Python has its own hashes and without the rest of ``numpy.random``.
 
     ``numpy.random`` imports ``secrets``, whose ``hmac`` and ``hashlib`` load
     OpenSSL's ``_hashlib`` (about 3.4 MB of RSS), while a run hashes only
@@ -260,23 +261,37 @@ def _import_sampling_modules() -> None:
     when ``_hashlib`` is loaded already or a built-in hash module is missing
     (some builds have only blake2), where ``hashlib`` would log errors and
     lack ``sha256``.  The ``_sha2`` name of Python >= 3.12 is untested.
-    Only :func:`main`, which owns its process, calls this: a library caller
-    of :func:`run_scenario` keeps the ``hashlib`` it has.
+    The package's ``__init__`` would also load the legacy ``RandomState``
+    (``mtrand``, about 0.7 MB with ``_mt19937``, ``_sfc64`` and ``_pickle``),
+    so ``_generator`` and ``_philox`` are imported through a bare package
+    that is removed again; a later ``import numpy.random`` runs the real
+    ``__init__`` on the loaded submodules, which it does not bind as its
+    attributes.  Only :func:`main`, which owns its process, calls this: a
+    library caller of :func:`run_scenario` keeps the ``hashlib`` it has.
     """
     import importlib.util
 
-    if "_hashlib" in sys.modules or not all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
-        return
     # the numerical layers first: compiled from source after numpy.random,
     # they leave peak RSS about 0.5 MB higher
     from . import analysis  # noqa: F401
 
-    sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
+    block = "_hashlib" not in sys.modules and all(map(importlib.util.find_spec, _BUILTIN_HASHES))
+    if block:
+        sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
     try:
         import hashlib  # noqa: F401
-        import numpy.random  # noqa: F401
+
+        if "numpy.random" not in sys.modules:  # else the bare package would shadow it
+            spec = importlib.util.find_spec("numpy.random")
+            sys.modules["numpy.random"] = importlib.util.module_from_spec(spec)
+            try:
+                import numpy.random._generator  # noqa: F401
+                import numpy.random._philox  # noqa: F401
+            finally:
+                del sys.modules["numpy.random"]
     finally:
-        del sys.modules["_hashlib"]
+        if block:
+            del sys.modules["_hashlib"]
 
 
 # (flag, config key): each flag overrides its key through the same table row
@@ -305,6 +320,10 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 
 
 def main(argv=None) -> int:
+    # every product is 16x16 or smaller, or a stack of such, which OpenBLAS never
+    # splits across threads, but it starts nproc - 1 spinning workers when numpy
+    # loads; main owns its process and loads numpy after this line
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # a level name maps to its number; any other value would make basicConfig raise
     level = logging.getLevelName(os.environ.get("CTXDEP_LOG", "WARNING").upper())
     logging.basicConfig(

@@ -773,14 +773,16 @@ class TestArtifactWriter:
         missing = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
         fallback = (f"import sys; sys.modules[{missing!r}] = None\n"
                     "from ctxdep.cli import main\nstatus = main(sys.argv[1:])\n"
-                    "print('_hashlib' in sys.modules); sys.exit(status)")
+                    "print('_hashlib' in sys.modules, 'numpy.random.mtrand' in sys.modules)\n"
+                    "sys.exit(status)")
         children = {"built-in": ["-m", "ctxdep.cli"], "OpenSSL": ["-c", fallback]}
         for name, args in children.items():
             out = _python_child([*args, "run", "--config", str(path), "--out",
                                  str(tmp_path / name)])
             assert out.returncode in (0, 2) and out.stderr == "", (name, out.stderr)
             assert _tree_digest(tmp_path / name) == digest, name
-        assert out.stdout.splitlines()[-1] == "True"  # the fallback child loaded _hashlib
+        # the fallback child loaded _hashlib, and still only numpy.random's Generator modules
+        assert out.stdout.splitlines()[-1] == "True False"
 
 
 def test_readme_config_block_lists_every_key():
@@ -799,6 +801,10 @@ NEVER_LOADED = ("scipy", "numpy.ma", "_hashlib")
 # hashlib (via secrets/hmac too) serve sampling, and fractions/decimal served
 # gate labels.
 UNUSED_MODULES = NEVER_LOADED + ("numpy.random", "hashlib", "secrets", "decimal", "fractions")
+# Loaded only by numpy.random's __init__: the legacy RandomState, the bit
+# generators and pickling helpers a sampled run never uses.
+LEGACY_RANDOM = ("numpy.random.mtrand", "numpy.random._mt19937", "numpy.random._sfc64",
+                 "numpy.random._pickle")
 # Loaded only once a run needs them: `import ctxdep`, the CLI module and
 # `validate` need no numerical layer.
 NUMERICAL_MODULES = ("numpy", "ctxdep.ptm", "ctxdep.noise", "ctxdep.experiment",
@@ -839,6 +845,11 @@ record("validate", setup_names, ctxdep.cli.main(["validate"]))
 for name, argv, run_names in runs:
     record(name, run_names, ctxdep.cli.main(argv))
 import _hashlib  # the runs blocked it for their imports only
+# the full package, on the Generator modules the sampled runs loaded
+import numpy.random
+assert numpy.random.Generator is sys.modules["numpy.random._generator"].Generator
+numpy.random.default_rng(0).random()
+numpy.random.RandomState(0).random_sample()
 print(json.dumps(found))
 """
 
@@ -854,15 +865,16 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     # one subprocess guards the import path: importing the package and the CLI
     # and validating load no numerical layer, exact runs of each family shape
     # none of UNUSED_MODULES, and the sampled runs that follow them none of
-    # NEVER_LOADED; every run builds its model through `ctxdep.cli.build_model`,
-    # once per phi, and runs through `run_scenario`
+    # NEVER_LOADED and LEGACY_RANDOM, after which `import numpy.random` gives
+    # the full package; every run builds its model through
+    # `ctxdep.cli.build_model`, once per phi, and runs through `run_scenario`
     configs = {
         "permutation": 'family = permutation\ngates = "I X_pi"\nn = 3\n',
         "cyclic": 'family = cyclic\ngates = "X_pi I*5"\n',
         "repetition": 'family = repetition\ngates = "X_pi"\nm_values = [0, 2, 4, 6]\n',
     }
     jobs = [(family, family, "exact", UNUSED_MODULES) for family in configs]
-    jobs += [(f"{family} sampled", family, "1000", NEVER_LOADED)
+    jobs += [(f"{family} sampled", family, "1000", NEVER_LOADED + LEGACY_RANDOM)
              for family in ("cyclic", "repetition")]
     runs = []
     for name, family, shots, names in jobs:
@@ -879,6 +891,48 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     assert found == {"import ctxdep": idle, "package names": idle, "parse every scenario": idle,
                      "import ctxdep.cli": idle, "validate": idle,
                      **{name: ran for name, _, _ in runs}}
+
+
+def test_sampled_run_keeps_a_loaded_numpy_random(tmp_path):
+    # with numpy.random loaded before main, as in a library caller, the CLI
+    # keeps that package: a bare one would shadow it; the bytes are the same
+    # as those of a fresh CLI process, which loads only the Generator modules
+    argv = ["run", "--scenario", "fig2b", "--shots", "1000", "--out"]
+    preloaded = ("import sys, numpy.random\nfrom ctxdep.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))")
+    children = {"fresh": ["-m", "ctxdep.cli"], "preloaded": ["-c", preloaded]}
+    for name, args in children.items():
+        out = _python_child([*args, *argv, str(tmp_path / name)])
+        assert out.returncode in (0, 2) and out.stderr == "", (name, out.stderr)
+    assert _tree_digest(tmp_path / "preloaded") == _tree_digest(tmp_path / "fresh")
+
+
+THREADS_CHILD = """
+import os, sys, time
+os.environ.pop("OPENBLAS_NUM_THREADS", None)  # as in a shell that never set it
+from ctxdep.cli import main
+status = main(sys.argv[1:])
+# the writer thread's OS thread may outlive its join() by a moment
+deadline = time.monotonic() + 5
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
+print(len(os.listdir("/proc/self/task")))
+sys.exit(status)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc and at least 2 CPUs")
+def test_run_starts_no_openblas_workers(tmp_path):
+    # every product is 16x16 or smaller, so OpenBLAS's nproc - 1 workers would
+    # only spin; main starts it with one thread, and no other thread outlives a run
+    path = tmp_path / "run.cfg"
+    path.write_text('scenario = custom\nfamily = cyclic\ngates = "X_pi I*5"\n'
+                    "shots = exact\nphi_values = [0]\n")
+    out = _python_child(["-c", THREADS_CHILD, "run", "--config", str(path), "--out",
+                         str(tmp_path / "out")])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "1"
 
 
 def test_exact_permutation_runs_need_no_svd(tmp_path, capsys, monkeypatch):
