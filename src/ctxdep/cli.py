@@ -219,7 +219,6 @@ def run_scenario(cfg: RunConfig) -> int:
 
     cal = analysis.ideal_calibration()
     families = cfg.families()
-    os.makedirs(cfg.output_dir, exist_ok=True)
     any_dependent = False
     writer = _Writer()
     try:
@@ -263,11 +262,11 @@ def _import_sampling_modules() -> None:
     lack ``sha256``.  The ``_sha2`` name of Python >= 3.12 is untested.
     The package's ``__init__`` would also load the legacy ``RandomState``
     (``mtrand``, about 0.7 MB with ``_mt19937``, ``_sfc64`` and ``_pickle``),
-    so ``_generator`` and ``_philox`` are imported through a bare package
-    that is removed again; a later ``import numpy.random`` runs the real
-    ``__init__`` on the loaded submodules, which it does not bind as its
-    attributes.  Only :func:`main`, which owns its process, calls this: a
-    library caller of :func:`run_scenario` keeps the ``hashlib`` it has.
+    so the package is made from its spec without running it, with ``_generator``
+    and ``_philox`` imported under it and their two classes bound on it; the
+    package's own ``__init__`` runs the first time anything else is asked of
+    ``numpy.random``.  Only :func:`main`, which owns its process, calls this:
+    a library caller of :func:`run_scenario` keeps the modules it has.
     """
     import importlib.util
 
@@ -281,14 +280,23 @@ def _import_sampling_modules() -> None:
     try:
         import hashlib  # noqa: F401
 
-        if "numpy.random" not in sys.modules:  # else the bare package would shadow it
+        if "numpy.random" not in sys.modules:  # else keep the package the caller loaded
+            import numpy
+
             spec = importlib.util.find_spec("numpy.random")
-            sys.modules["numpy.random"] = importlib.util.module_from_spec(spec)
-            try:
-                import numpy.random._generator  # noqa: F401
-                import numpy.random._philox  # noqa: F401
-            finally:
-                del sys.modules["numpy.random"]
+            package = importlib.util.module_from_spec(spec)
+            # bound on numpy too, whose own __getattr__ would import it again
+            sys.modules["numpy.random"] = numpy.random = package
+            from numpy.random import _generator, _philox
+
+            package.Generator, package.Philox = _generator.Generator, _philox.Philox
+
+            def __getattr__(name):
+                del package.__getattr__
+                spec.loader.exec_module(package)
+                return getattr(package, name)
+
+            package.__getattr__ = __getattr__
     finally:
         if block:
             del sys.modules["_hashlib"]

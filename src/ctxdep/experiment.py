@@ -161,22 +161,18 @@ def substream(seed: int, *tags) -> np.random.Generator:
     a counter-based Philox bit generator.  Two calls with the same arguments
     therefore produce identical streams no matter how many other substreams
     were created in between, which makes every sampled quantity independent
-    of evaluation order and safe to recompute in parallel.  Both classes come
-    from their own ``numpy.random`` modules: ``np.random.Generator`` would
-    load the whole package, legacy ``RandomState`` included, where the CLI
-    loaded only these two.
+    of evaluation order and safe to recompute in parallel.  Under the CLI,
+    ``numpy.random`` holds only these two classes until anything else is
+    asked of it, when the package's own ``__init__`` runs.
     """
     # only sampled runs draw, so numpy.random and hashlib load on the first
     # call, not with this module; the CLI loads them before its first draw,
     # without OpenSSL where Python has built-in hashes
     import hashlib
 
-    from numpy.random._generator import Generator
-    from numpy.random._philox import Philox
-
     payload = "\x1f".join([str(int(seed))] + [str(t) for t in tags]).encode("utf-8")
     key = int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
-    return Generator(Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_table(table: ProbabilityTable, shots: int, seed: int) -> ProbabilityTable:
