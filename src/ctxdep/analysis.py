@@ -450,8 +450,8 @@ def det_permutation_test(
     return _spread_report("PermDet", tables, l_values, null, "bootstrap", summary, details)
 
 
-def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
-    """Observed-statistic fidelities, multiplied in extended precision.
+def _fidelities_observed(entries, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
+    """Observed-statistic fidelities of a stack (or list) of tables, in extended precision.
 
     One solve of ``P0^T M_j^T = P_j^T`` covers all members; column block
     ``j`` of the solution is ``M_j^T``.  Large SPAM errors can drive the
@@ -462,7 +462,7 @@ def _fidelities_observed(entries_list, p0_entries: np.ndarray, r_max: int) -> np
     """
     p0_t = np.asarray(p0_entries, dtype=float).T
     n = p0_t.shape[0]
-    rhs = np.concatenate([np.asarray(entries, dtype=float).T for entries in entries_list], axis=1)
+    rhs = np.asarray(entries, dtype=float).transpose(2, 0, 1).reshape(n, -1)  # block j: P_j^T
     x = np.linalg.solve(p0_t, rhs).astype(np.longdouble)
     x += np.linalg.solve(p0_t, (rhs - p0_t.astype(np.longdouble) @ x).astype(float))
     m = x.reshape(n, -1, n).transpose(1, 2, 0)
@@ -541,7 +541,8 @@ def cyclic_fidelity_test(
         fid_all = np.full((len(tables), n), np.nan)
         null = _null_blocks(range(len(tables)), resamples, lambda j: math.nan)
     else:
-        fid_all = _fidelities_observed([t.entries for t in tables], p0_entries, n)
+        entries = np.stack([t.entries for t in tables])
+        fid_all = _fidelities_observed(entries, p0_entries, n)
     method = "delta"
     if not ill and not (p0.is_exact and all(t.is_exact for t in tables)):
         p0_inv = np.linalg.inv(p0_entries)
@@ -550,7 +551,7 @@ def cyclic_fidelity_test(
             method = "bootstrap"
             null = _cyclic_bootstrap(tables, p0, r, resamples, seed, details)
         else:
-            grad, grad_ref = _cyclic_gradients(np.stack([t.entries for t in tables]), p0_inv, r)
+            grad, grad_ref = _cyclic_gradients(entries, p0_inv, r)
             sigma = np.sqrt(np.sum(grad**2 * _cell_sd(tables) ** 2, axis=(-2, -1)))
             shared = (grad_ref * sd0).reshape(len(tables), -1)
             null = _delta_null(tables, fid_all[:, r - 1], sigma, shared, resamples, seed)
@@ -723,7 +724,8 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     ``EXACT_SPREAD_TOL`` or, given confidence intervals, when they do not
     overlap.  An interval of zero width (every resample reproduced its table,
     as single-shot 0/1 frequencies do) cannot tell a rise from shot noise,
-    so any one makes the result Inconclusive; so does a series with no two
+    and a non-finite bound of a finite member (-inf draws) cannot be compared,
+    so either makes the result Inconclusive; so does a series with no two
     adjacent finite members, which has nothing to compare.
     ``summary.cp_indivisible`` is true exactly when the verdict is
     ContextDependent; the rises found are listed in ``details.increases``
@@ -753,6 +755,10 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
         zero_width = [lbl for lbl, lo, hi in zip(labels, ci_low, ci_high) if lo == hi]
         if zero_width:
             details["inconclusive_reason"] = "zero-width interval for " + ", ".join(zero_width)
+        unbounded = finite & ~(np.isfinite(ci_low) & np.isfinite(ci_high))
+        if unbounded.any():
+            details.setdefault("inconclusive_reason", "non-finite interval for "
+                               + ", ".join(np.array(labels)[unbounded]))
     if not pairs.size:
         details.setdefault("inconclusive_reason", "no two adjacent members have finite log-dets")
     # any rise is significant; floats, as np.isfinite of an int pages in ~0.1 MB more
@@ -777,8 +783,9 @@ def bootstrap_ci(
     """Parametric-bootstrap 95% interval for a statistic of one table.
 
     Each resample redraws every cell from a binomial at the observed
-    frequency; the interval is the empirical [2.5%, 97.5%] range.  Exact
-    tables yield a degenerate interval at the exact value.
+    frequency; the interval is :func:`_null_ci`'s [2.5%, 97.5%] range, so
+    ``-inf`` draws can give a NaN bound.  Exact tables yield a degenerate
+    interval at the exact value.
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
@@ -792,5 +799,5 @@ def bootstrap_ci(
             for b in range(resamples)
         ]
     )
-    lo, hi = _percentiles(values, [2.5, 97.5])
+    lo, hi, _ = _null_ci(values)
     return float(lo), float(hi)

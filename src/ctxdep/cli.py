@@ -29,7 +29,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
-from .config import ConfigError, RunConfig, _phi_dir_name, load_config, set_key, validate
+from .config import RunConfig, _phi_dir_name, load_config, set_key, validate
 
 if TYPE_CHECKING:
     from . import analysis, experiment
@@ -176,24 +176,6 @@ def _log_stages(writer: _Writer, phi: float, stage_s: dict) -> None:
     writer.busy_s = 0.0
 
 
-def _run_family(cfg: RunConfig, family, model, cal, phi, out_dir, stage_s: dict,
-                writer: _Writer) -> list:
-    """:func:`_simulate`, then :func:`_family_reports`, whose reports it returns; ``writer``
-    gets the tables before the tests run, the reports after them.  Adds each stage's wall
-    time to ``stage_s``."""
-    t0 = time.perf_counter()
-    tables, p0 = _simulate(cfg, family, model)
-    t1 = time.perf_counter()
-    writer.write(_emit_tables, tables if p0 is None else [*tables, p0],
-                 os.path.join(out_dir, "tables"))
-    reports = _family_reports(cfg, family, tables, p0, cal)
-    t2 = time.perf_counter()
-    writer.write(_emit_reports, family, reports, phi, out_dir)
-    stage_s["tables"] += t1 - t0
-    stage_s["tests"] += t2 - t1
-    return reports
-
-
 def build_model(params: NoiseParams) -> TwoQubitModel:
     """:func:`ctxdep.noise.build_model`, which loads the numerical layers.
 
@@ -230,8 +212,18 @@ def run_scenario(cfg: RunConfig) -> int:
             phi_dir = os.path.join(cfg.output_dir, _phi_dir_name(phi))
             os.makedirs(phi_dir, exist_ok=True)
             for family in families:
-                for report in _run_family(cfg, family, model, cal, phi, phi_dir, stage_s,
-                                          writer):
+                # the writer gets the tables before the tests run, the reports after them
+                t1 = time.perf_counter()
+                tables, p0 = _simulate(cfg, family, model)
+                t2 = time.perf_counter()
+                writer.write(_emit_tables, tables if p0 is None else [*tables, p0],
+                             os.path.join(phi_dir, "tables"))
+                reports = _family_reports(cfg, family, tables, p0, cal)
+                t3 = time.perf_counter()
+                writer.write(_emit_reports, family, reports, phi, phi_dir)
+                stage_s["tables"] += t2 - t1
+                stage_s["tests"] += t3 - t2
+                for report in reports:
                     tag = f"phi={phi:g} {report.kind} [{family.description}]"
                     print(f"{tag}: {report.verdict.value}")
                     if report.verdict is analysis.Verdict.CONTEXT_DEPENDENT:
@@ -355,7 +347,7 @@ def main(argv=None) -> int:
         if cfg.shots is not None:  # only sampled runs draw
             _import_sampling_modules()
         return run_scenario(cfg)
-    except (ConfigError, ValueError, OSError, ImportError, MemoryError) as exc:
+    except (ValueError, OSError, ImportError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1010,6 +1011,20 @@ class TestCpWitness:
     def test_zero_width_reason_comes_first(self):
         report = cp_witness([0, 1], [-np.inf, 0.0], [-np.inf, 0.0], [-np.inf, 0.0])
         assert report.details["inconclusive_reason"] == "zero-width interval for m=0, m=1"
+        report = cp_witness([0, 1, 2], [0.0, -1.0, -2.0], [-1.0, np.nan, -2.0], [1.0, 0.0, -2.0])
+        assert report.details["inconclusive_reason"] == "zero-width interval for m=2"
+
+    @pytest.mark.parametrize("bound", ["low", "high"])
+    def test_non_finite_interval_is_inconclusive(self, bound):
+        # -inf bootstrap draws leave a finite member a NaN bound, and a NaN
+        # comparison is false: a rise that cannot be judged is no absence of one;
+        # the singular member m=0 has no log-det to judge and is not named
+        intervals = {"low": [np.nan, -1.5, -2.5, -2.5], "high": [np.nan, -0.5, -1.5, -1.5]}
+        intervals[bound][2] = np.nan
+        report = cp_witness([0, 1, 2, 3], [-np.inf, -1.0, -2.0, -2.0],
+                            intervals["low"], intervals["high"])
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.details["inconclusive_reason"] == "non-finite interval for m=2"
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
@@ -1073,6 +1088,17 @@ class TestBootstrapCi:
         sampled = sample_table(prob_table(seq("x", GATE_X_PI), baseline_model), 1000, seed=4)
         stat = lambda t: log_abs_det(t.entries)
         assert bootstrap_ci(stat, sampled, seed=9) == bootstrap_ci(stat, sampled, seed=9)
+
+    def test_singular_draws_give_a_nan_bound_without_a_warning(self, baseline_model):
+        # at 2 shots some resamples are singular, so some log-det draws are -inf:
+        # the lower bound is NaN, as for the tests' own intervals, and no
+        # RuntimeWarning is raised on the way
+        sampled = sample_table(prob_table(seq("x", GATE_X_PI), baseline_model), 2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = bootstrap_ci(lambda t: log_abs_det(t.entries), sampled, resamples=100, seed=0)
+        assert np.isnan(lo)
+        assert np.isfinite(hi)
 
     def test_rejects_too_few_resamples(self, baseline_model):
         table = prob_table(seq("x", GATE_X_PI), baseline_model)

@@ -550,6 +550,20 @@ class TestMain:
         assert witness["summary"]["cp_indivisible"] is False
         assert witness["summary"]["n_increases"] == len(witness["details"]["increases"]) == 1
 
+    def test_witness_on_non_finite_intervals_is_inconclusive(self, tmp_path, capsys):
+        # at 3 shots, seed 1, -inf bootstrap log-dets leave NaN bounds on finite
+        # members (m = 0, 150, ...), which RepLinearity already calls Inconclusive;
+        # the witness cannot judge a rise there either, so it must not say
+        # ContextIndependent
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = fig3a\nshots = 3\nseed = 1\nphi_values = [0]\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "phi=0 CPWitness [(I)^m]: Inconclusive" in capsys.readouterr().out.splitlines()
+        report = tmp_path / "out" / "phi_0" / "report_cpwitness_I.json"
+        witness = json.loads(report.read_text())
+        assert witness["details"]["inconclusive_reason"].startswith(
+            "non-finite interval for m=0, m=150, m=200")
+
     def test_fast_decay_runs(self, tmp_path, capsys):
         # T1 = 1 ns: the generators' entries reach 1e9, and their roundoff
         # must not read as a map that breaks Hermiticity
@@ -772,7 +786,7 @@ class TestArtifactWriter:
                               **PINNED_KERNEL)
         assert child.returncode in (0, 2) and child.stderr == "", child.stderr
         assert len([p for p in out.rglob("*") if p.is_file()]) == n_files
-        assert _tree_digest(out) == digest
+        assert _tree_digest(out) == digest, _pinned_build_note()
         nulls = [json.loads(p.read_text())["details"].get("null")
                  for p in out.rglob("report_*.json")]
         assert {null["method"] for null in nulls if null} == ({method} if method else set())
@@ -794,7 +808,7 @@ class TestArtifactWriter:
             out = _python_child([*args, "run", "--config", str(path), "--out",
                                  str(tmp_path / name)], **PINNED_KERNEL)
             assert out.returncode in (0, 2) and out.stderr == "", (name, out.stderr)
-            assert _tree_digest(tmp_path / name) == digest, name
+            assert _tree_digest(tmp_path / name) == digest, (name, _pinned_build_note())
         # the fallback child loaded _hashlib, and still only numpy.random's Generator modules
         assert out.stdout.splitlines()[-1] == "True False"
 
@@ -876,6 +890,19 @@ print(json.dumps(found))
 # OpenBLAS's SSE3 kernels, which run on any x86-64: the pinned digests hold on
 # every CPU only where the BLAS kernel is fixed
 PINNED_KERNEL = {"OPENBLAS_CORETYPE": "Prescott"}
+
+
+def _pinned_build_note() -> str:
+    """The numpy and OpenBLAS versions of this process, which the pinned digests
+    depend on beside the kernel: a failure message names them."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode argument
+        blas = {}
+    return (f"digests pinned under numpy 2.4.6 with OpenBLAS 0.3.31.188.0; this is numpy "
+            f"{numpy.__version__} with {blas.get('name', 'BLAS')} {blas.get('version', '?')}")
 
 
 def _python_child(args, **env_vars):
