@@ -298,18 +298,6 @@ def _null_details(method: str, draws: int, non_finite: int, members: int) -> dic
     return {"method": method, "draws": draws, "non_finite_frac": non_finite / (members * draws)}
 
 
-def _null_blocks(order, resamples: int, draws):
-    """Yield ``(idx, block)`` for runs ``idx`` of at most ``NULL_BLOCK`` members of ``order``;
-    row ``i`` of the (block x resamples) ``block`` is ``draws(idx[i])``, made in ``order``.
-    """
-    for start in range(0, len(order), NULL_BLOCK):
-        idx = order[start:start + NULL_BLOCK]
-        block = np.empty((len(idx), resamples))
-        for row, j in zip(block, idx):
-            row[:] = draws(j)
-        yield idx, block
-
-
 def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> TestReport:
     """Verdict of ``observed`` against the 95%/99% ``thresholds``, and its report."""
     thr95, thr99 = float(thresholds[0]), float(thresholds[1])
@@ -321,8 +309,8 @@ def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> 
 
 def _log_dets(tables, resamples: int, seed: int, details: dict):
     """``log|det P|`` of the stacked member tables, in one ``slogdet`` call, and the
-    log-dets of their bootstrap draws in table order, as :func:`_null_blocks`
-    (``None`` if all exact).  An exact member whose condition exceeds
+    null ``(order, draw)`` of their bootstrap log-dets, in table order (``None``
+    if all exact).  An exact member whose condition exceeds
     ``CONDITION_LIMIT`` gets ``-inf``, as a singular one does, and
     ``details["excluded_condition"]`` maps the label of each such member to its condition.
     """
@@ -335,7 +323,7 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
         if excluded:
             details["excluded_condition"] = excluded
         return observed, None
-    return observed, _null_blocks(range(len(tables)), resamples, lambda j: log_abs_det_many(
+    return observed, (range(len(tables)), lambda j: log_abs_det_many(
         resample_cells(tables[j], resamples, seed)))
 
 
@@ -355,7 +343,7 @@ def _linear_size(inverse: np.ndarray, sd: np.ndarray) -> float:
 
 
 def _delta_null(tables, stats, sigma, shared, resamples: int, seed: int):
-    """Delta-method null draws of the cyclic test's ``stats``, in blocks of members.
+    """Delta-method null ``(order, draw)`` of the cyclic test's ``stats``.
 
     Draw ``b`` of member ``j`` is ``stats[j] + sigma[j] z[j, b] + shared[j] . e[:, b]``
     with standard normals ``z`` and ``e``: ``sigma[j]`` is the member's own
@@ -363,41 +351,45 @@ def _delta_null(tables, stats, sigma, shared, resamples: int, seed: int):
     reference table that every member shares.  All come from one substream
     keyed on ``(seed, "null", "CyclicFid")``: ``e`` first, then one row of
     ``z`` per member in label order, so a member's draws do not depend on its
-    place in the list.  Returns them as :func:`_null_blocks`, in label order.
+    place in the list.  ``order`` is label order.
     """
     # looked up on the module, as every other substream is, so that perfbench's
     # traced runs (which wrap ctxdep.experiment.substream) count this one too
     gen = experiment.substream(seed, "null", "CyclicFid")
     common = gen.standard_normal((shared.shape[1], resamples))
     # one row at a time: a block-wide shared[idx] @ common rounds differently
-    return _null_blocks(
-        sorted(range(len(tables)), key=lambda j: tables[j].label), resamples,
-        lambda j: gen.standard_normal(resamples) * sigma[j] + stats[j] + shared[j] @ common,
-    )
+    return (sorted(range(len(tables)), key=lambda j: tables[j].label),
+            lambda j: gen.standard_normal(resamples) * sigma[j] + stats[j] + shared[j] @ common)
 
 
-def _spread_report(kind, tables, stats, null, method: str, summary: dict,
+def _spread_report(kind, tables, stats, null, method: str, resamples: int, summary: dict,
                    details: dict) -> TestReport:
     """Report of an invariant that must agree across a family's members.
 
     The statistic is the max-min spread of the finite ``stats``, judged
     against the ``EXACT_SPREAD_TOL`` floor for exact tables (``null`` is
-    ``None``) and otherwise against the null that ``method`` made, which
-    ``null`` yields as :func:`_null_blocks`.  Each block gives its members'
-    95% intervals; its draws, centred per member to remove the observed
-    member-to-member signal, update the running max and min over members of
-    every draw, whose difference is the null spread.  A null that stays at
-    the floor has no width (single-shot 0/1 frequencies have no binomial
-    variance) and supports no verdict; nor does one finite member, whose
-    spread is 0 whatever the device does.
+    ``None``) and otherwise against the null that ``method`` made, a pair
+    ``(order, draw)``: ``draw(j)`` gives member ``j``'s ``resamples`` draws,
+    made in ``order`` and held ``NULL_BLOCK`` members at a time.  Each block
+    gives its members' 95% intervals; its draws, centred per member to remove
+    the observed member-to-member signal, update the running max and min over
+    members of every draw, whose difference is the null spread.  A null that
+    stays at the floor has no width (single-shot 0/1 frequencies have no
+    binomial variance) and supports no verdict; nor does one finite member,
+    whose spread is 0 whatever the device does.
     """
     ci = (None, None)
     if null is None:
         thresholds = (EXACT_SPREAD_TOL, EXACT_SPREAD_TOL)
     else:
+        order, draw = null
         low, high = np.empty(len(tables)), np.empty(len(tables))
         top, bottom, non_finite = -np.inf, np.inf, 0
-        for idx, block in null:
+        for start in range(0, len(order), NULL_BLOCK):
+            idx = order[start:start + NULL_BLOCK]
+            block = np.empty((len(idx), resamples))
+            for row, j in zip(block, idx):
+                row[:] = draw(j)
             low[idx], high[idx], count = _null_ci(block)
             non_finite += count
             # non-finite draws give NaN thresholds, which _verdict reports
@@ -408,7 +400,7 @@ def _spread_report(kind, tables, stats, null, method: str, summary: dict,
         with np.errstate(invalid="ignore"):
             q95, q99 = _percentiles(top - bottom, [95.0, 99.0])
         ci = (low, high)
-        details["null"] = _null_details(method, block.shape[1], non_finite, len(tables))
+        details["null"] = _null_details(method, resamples, non_finite, len(tables))
         thresholds = (max(float(q95), EXACT_SPREAD_TOL), max(float(q99), EXACT_SPREAD_TOL))
         if thresholds[1] <= EXACT_SPREAD_TOL:
             reason = f"zero-width {method} null: 99% quantile <= {EXACT_SPREAD_TOL:g}"
@@ -447,7 +439,8 @@ def det_permutation_test(
         offset = cal.log_abs_det
         summary["raw_units_offset"] = -offset
         details["raw_statistics"] = l_values - offset
-    return _spread_report("PermDet", tables, l_values, null, "bootstrap", summary, details)
+    return _spread_report("PermDet", tables, l_values, null, "bootstrap", resamples, summary,
+                          details)
 
 
 def _fidelities_observed(entries, p0_entries: np.ndarray, r_max: int) -> np.ndarray:
@@ -482,11 +475,11 @@ def _cyclic_gradients(entries: np.ndarray, p0_inv: np.ndarray, r: int):
 
 
 def _cyclic_bootstrap(tables, p0, r: int, resamples: int, seed: int, details: dict):
-    """Order-``r`` fidelities of resampled members and reference, in blocks of members.
+    """Null ``(order, draw)`` of order-``r`` fidelities of resampled members and reference.
 
     One inverse per reference draw, shared by every member; a singular draw
-    has none and leaves NaN statistics, which ``_verdict`` reports.  Returns
-    them as :func:`_null_blocks`, in table order.
+    has none and leaves NaN statistics, which ``_verdict`` reports.  ``order``
+    is table order.
     """
     p0_draws = resample_cells(p0, resamples, seed)
     regular = np.isfinite(log_abs_det_many(p0_draws))
@@ -497,8 +490,8 @@ def _cyclic_bootstrap(tables, p0, r: int, resamples: int, seed: int, details: di
             map(str, np.flatnonzero(~regular))
         )
     n = p0.entries.shape[0]
-    return _null_blocks(range(len(tables)), resamples, lambda j: trace_powers(
-        resample_cells(tables[j], resamples, seed) @ p0_inv, r)[:, r - 1] / n)
+    return range(len(tables)), lambda j: trace_powers(
+        resample_cells(tables[j], resamples, seed) @ p0_inv, r)[:, r - 1] / n
 
 
 def cyclic_fidelity_test(
@@ -539,7 +532,7 @@ def cyclic_fidelity_test(
     if ill:  # a sampled reference gives no statistic, observed or null
         details["inconclusive_reason"] = ill
         fid_all = np.full((len(tables), n), np.nan)
-        null = _null_blocks(range(len(tables)), resamples, lambda j: math.nan)
+        null = range(len(tables)), lambda j: math.nan
     else:
         entries = np.stack([t.entries for t in tables])
         fid_all = _fidelities_observed(entries, p0_entries, n)
@@ -558,7 +551,8 @@ def cyclic_fidelity_test(
     details["fidelity_by_order"] = {str(k + 1): fid_all[:, k] for k in range(n)}
     details["spread_by_order"] = {str(k + 1): float(np.ptp(fid_all[:, k])) for k in range(n)}
     summary = {"order": r, "reference": p0.label}
-    return _spread_report("CyclicFid", tables, fid_all[:, r - 1], null, method, summary, details)
+    return _spread_report("CyclicFid", tables, fid_all[:, r - 1], null, method, resamples,
+                          summary, details)
 
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
@@ -598,7 +592,10 @@ def repetition_test(
     offset = cal.log_abs_det
     details: dict = {"m_values": m_values}
     l_values, null = _log_dets(tables, resamples, seed, details)
-    boots = None if null is None else np.concatenate([block for _, block in null])
+    boots = None
+    if null is not None:
+        order, draw = null
+        boots = np.array([draw(j) for j in order])
     l_values = l_values - offset
     good = np.isfinite(l_values)
     if not good.all():
@@ -737,21 +734,17 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
         raise ValueError("need at least 2 points")
     finite = np.isfinite(l_values)
     pairs = np.flatnonzero(finite[:-1] & finite[1:])  # j with members j and j + 1 finite
-    increases = []
-    for j in pairs:
-        a, b = l_values[j], l_values[j + 1]
-        if ci_low is None:
-            significant = (b - a) > EXACT_SPREAD_TOL
-        else:
-            significant = b > a and ci_low[j + 1] > ci_high[j]
-        if significant:
-            increases.append(
-                {"m_from": float(m_values[j]), "m_to": float(m_values[j + 1]), "rise": float(b - a)}
-            )
+    rise = l_values[pairs + 1] - l_values[pairs]
+    if ci_low is None:
+        significant = rise > EXACT_SPREAD_TOL
+    else:
+        ci_low, ci_high = np.asarray(ci_low), np.asarray(ci_high)
+        significant = (rise > 0) & (ci_low[pairs + 1] > ci_high[pairs])
+    increases = [{"m_from": float(m_values[j]), "m_to": float(m_values[j + 1]), "rise": float(up)}
+                 for j, up in zip(pairs[significant], rise[significant])]
     labels = [f"m={int(m)}" for m in m_values]
     details = {"m_values": m_values, "increases": increases}
     if ci_low is not None:
-        ci_low, ci_high = np.asarray(ci_low), np.asarray(ci_high)
         zero_width = [lbl for lbl, lo, hi in zip(labels, ci_low, ci_high) if lo == hi]
         if zero_width:
             details["inconclusive_reason"] = "zero-width interval for " + ", ".join(zero_width)

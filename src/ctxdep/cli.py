@@ -348,7 +348,8 @@ def main(argv=None) -> int:
             _import_sampling_modules()
         return run_scenario(cfg)
     except (ValueError, OSError, ImportError, MemoryError) as exc:  # ConfigError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        # a refused list allocation raises a MemoryError with no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -126,13 +126,15 @@ _GATE_TOKEN = re.compile(
 def parse_gate_token(token: str) -> GateSpec:
     """Parse one gate token: ``I``, ``X_pi``, ``Y_-pi/2``, ``X_0.7854rad``...
 
-    An optional ``@k`` suffix sets the duration multiplier.
+    An optional ``@k`` suffix sets the duration multiplier, at most ``sys.maxsize``.
     """
     match = _GATE_TOKEN.match(token)
     if not match:
         raise ConfigError(f"cannot parse gate token {token!r}")
     parts = match.groupdict()
     duration = int(parts["dur"]) if parts["dur"] else 1
+    if duration > sys.maxsize:
+        raise ConfigError(f"duration must be at most {sys.maxsize}: {token!r}")
     if parts["axis"] == "I":
         if parts["angle"] is not None:
             raise ConfigError(f"idle gate takes no angle: {token!r}")
@@ -151,7 +153,8 @@ def parse_gate_token(token: str) -> GateSpec:
 
 
 def parse_gate_string(text: str) -> tuple[GateSpec, ...]:
-    """Whitespace-separated gate tokens with ``token*count`` repetition."""
+    """Whitespace-separated gate tokens with ``token*count`` repetition, ``count`` at most
+    ``sys.maxsize``."""
     gates: list[GateSpec] = []
     for token in text.split():
         if "*" in token:
@@ -159,6 +162,8 @@ def parse_gate_string(text: str) -> tuple[GateSpec, ...]:
             if not count.isdecimal():
                 raise ConfigError(f"repeat count must be a whole number: {token}*{count}")
             reps = int(count)
+            if reps > sys.maxsize:
+                raise ConfigError(f"repeat count must be at most {sys.maxsize}: {token}*{count}")
         else:
             reps = 1
         gates.extend([parse_gate_token(token)] * reps)

@@ -476,24 +476,23 @@ def _capture(monkeypatch, name):
 
 
 def _capture_null(monkeypatch, name):
-    """Record the null draws of every call of the block producer ``analysis.<name>``.
+    """Record the null draws of every call of the null producer ``analysis.<name>``.
 
-    Each call appends a dict from member index to that member's draws,
-    copied as produced: the consumer centres each block in place.
+    Each call appends a dict from member index to the draws that its
+    ``draw`` gave that member.
     """
     calls = []
     original = getattr(analysis, name)
 
     def record(*args):
-        blocks, draws = original(*args), {}
+        (order, draw), draws = original(*args), {}
         calls.append(draws)
 
-        def tee():
-            for idx, block in blocks:
-                draws.update(zip(idx, block.copy()))
-                yield idx, block
+        def tee(j):
+            draws[j] = draw(j)
+            return draws[j]
 
-        return tee()
+        return order, tee
 
     monkeypatch.setattr(analysis, name, record)
     return calls

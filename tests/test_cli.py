@@ -85,6 +85,15 @@ class TestParseConfig:
         assert cfg.shots is None
         assert cfg.bootstrap_resamples == 500
 
+    def test_explicit_gamma3_reaches_the_model(self):
+        assert parse_config("gamma3 = 2000").noise_params(0).gamma3 == 2000.0
+
+    def test_p0_with_explicit_gamma3_validates(self):
+        # only the default gamma3 divides by p
+        cfg = parse_config("p = 0\ngamma3 = 2000")
+        validate(cfg)
+        assert cfg.noise_params(0).gamma3 == 2000.0
+
     def test_phi_values(self):
         cfg = parse_config("phi_values = [0, 0.001, 0.005]")
         assert cfg.resolved_phi_values() == (0.0, 0.001, 0.005)
@@ -494,8 +503,11 @@ class TestMain:
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\nm_values = [3, 1, 2, 5]\n',
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\nm_values = [0, 1, 2]\n',
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\nm_values = [-1, 0, 1, 2]\n',
+            'scenario = custom\nfamily = permutation\ngates = "X_pi"\nn = 3\n',
+            'scenario = custom\nfamily = permutation\ngates = "X_pi Y_pi"\n',
         ],
-        ids=["p0-without-gamma3", "m-not-increasing", "three-m-values", "negative-m"],
+        ids=["p0-without-gamma3", "m-not-increasing", "three-m-values", "negative-m",
+             "permutation-one-gate", "permutation-without-n"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text):
         path = tmp_path / "run.cfg"
@@ -615,26 +627,38 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
-        "text,key",
+        "text,error",
         [
-            ("shots = 100000000000000000000\n", "shots"),
-            ("shots = 9223372036854775808\n", "shots"),
+            ("shots = 100000000000000000000\n", "shots: must lie in ["),
+            ("shots = 9223372036854775808\n", "shots: must lie in ["),
             ('scenario = custom\nfamily = permutation\ngates = "I X_pi"\n'
-             "n = 100000000000000000000\n", "n"),
+             "n = 100000000000000000000\n", "n: must lie in ["),
             ('scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
-             "m_values = [0, 1, 2, 1000000000000000000000000000000]\n", "m_values"),
+             "m_values = [0, 1, 2, 1000000000000000000000000000000]\n", "m_values: must lie in ["),
+            ('scenario = custom\nfamily = cyclic\ngates = "I*100000000000000000000"\n',
+             f"gates: repeat count must be at most {sys.maxsize}: "),
+            ('scenario = custom\nfamily = cyclic\ngates = "I@1' + "0" * 400 + '"\n',
+             f"gates: duration must be at most {sys.maxsize}: "),
         ],
-        ids=["shots-1e20", "shots-2**63", "n-1e20", "m-1e30"],
+        ids=["shots-1e20", "shots-2**63", "n-1e20", "m-1e30", "count-1e20", "duration-1e400"],
     )
-    def test_counts_too_large_to_run_are_errors(self, tmp_path, capsys, text, key, command):
-        # these used to pass `validate`, then end the run in an OverflowError
-        # traceback (numpy's int64 binomial count, or a tuple length) before
-        # anything large was allocated
+    def test_counts_too_large_to_run_are_errors(self, tmp_path, capsys, text, error, command):
+        # these used to pass `validate`, or end it, in an OverflowError traceback
+        # (numpy's int64 binomial count, a tuple or list length, or a duration
+        # past the float range) before anything large was allocated
         path = tmp_path / "run.cfg"
         path.write_text("phi_values = [0]\n" + text)
         out = ["--out", str(tmp_path / "out")] if command == "run" else []
         assert main([command, "--config", str(path), *out]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {key}: must lie in [")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    def test_unallocatable_gate_string_is_an_error_line(self, tmp_path, capsys):
+        # within the repeat-count bound, but a list of about 0.7 EiB: Python
+        # refuses it at once with a MemoryError that has no message
+        path = tmp_path / "run.cfg"
+        path.write_text('scenario = custom\nfamily = cyclic\ngates = "I*100000000000000000"\n')
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_unallocatable_resamples_are_an_error_line(self, tmp_path, capsys):
         # validate accepts any count; numpy refuses the 114 PiB null draw at once
