@@ -558,14 +558,19 @@ def cyclic_fidelity_test(
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     """Weighted least-squares line fit; returns slope, intercept, residuals, chi2.
 
-    A 2-D ``y`` holds one series per column; all share one ``lstsq`` call.
+    The closed form about the weighted means of ``x`` and ``y``, which needs no
+    SVD; centring ``y`` too keeps the slope exact to rounding when the weights
+    span many decades.  A 2-D ``y`` holds one series per column, and every
+    column is fitted at once.
     """
-    sw = np.sqrt(weights)
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], (y.T * sw).T, rcond=None)
-    residuals = y - design @ coef
+    w = weights / weights.sum()
+    x_mean, y_mean = w @ x, w @ y
+    dx = x - x_mean
+    slope = (w * dx) @ (y - y_mean) / (w @ dx**2)
+    intercept = y_mean - slope * x_mean
+    residuals = y - np.multiply.outer(x, slope) - intercept
     chi2 = weights @ residuals**2
-    return coef[0], coef[1], residuals, chi2
+    return slope, intercept, residuals, chi2
 
 
 def repetition_test(

@@ -239,6 +239,8 @@ def _convert(row: _Key, text: str, name: str):
             return parse_gate_string(text)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
+        except MemoryError:  # a count within the bound can still be too large to hold
+            raise ConfigError(f"{name}: too many gates to hold in memory") from None
     if kind == "shots" and text == "exact":
         return None
     if kind in ("reals", "ints"):

@@ -133,9 +133,20 @@ def ising_generator(coupling: float, basis: OperatorBasis) -> np.ndarray:
     return hamiltonian_generator((coupling / 2.0) * np.kron(PAULI_Z, PAULI_Z), basis)
 
 
+@functools.lru_cache(maxsize=64)
+def _dissipator(gamma1: float, gamma3: float, gamma_phi: float, basis: OperatorBasis) -> np.ndarray:
+    """The two-qubit :func:`dissipator_generator`, built once per rate set and read-only.
+
+    It does not depend on the coupling, so every model of a phi sweep shares it.
+    """
+    dissipator = dissipator_generator(gamma1, gamma3, gamma_phi, 2, basis)
+    dissipator.flags.writeable = False
+    return dissipator
+
+
 def _noise_generators(params: NoiseParams, basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
     """The ZZ coupling ``V`` and two-qubit dissipator ``D`` that every gate shares."""
-    dissipator = dissipator_generator(params.gamma1, params.gamma3, params.gamma_phi, 2, basis)
+    dissipator = _dissipator(params.gamma1, params.gamma3, params.gamma_phi, basis)
     return ising_generator(params.coupling, basis), dissipator
 
 
@@ -187,9 +198,10 @@ class TwoQubitModel:
     sequence with total transfer matrix ``S`` is
     ``spam_out[k] @ S @ spam_in[i]``.
 
-    ``generators`` holds the coupling and dissipator generators, built once
-    per model and shared by every gate.  Treat instances as immutable; the
-    only internal mutation is gate-matrix memoization.
+    ``generators`` holds the coupling and dissipator generators, shared by
+    every gate; the read-only dissipator is shared by every model with the
+    same rates.  Treat instances as immutable; the only internal mutation is
+    gate-matrix memoization.
     """
 
     params: NoiseParams

@@ -746,6 +746,29 @@ class TestRepetitionTest:
         )
         assert np.isnan(report.summary["chi2"])
 
+    @pytest.mark.parametrize("scenario", ["fig3a", "fig3b"])
+    def test_closed_form_line_fit_matches_lstsq(self, scenario):
+        # the closed form against numpy's SVD least squares on the preset m grids,
+        # with weights from 1e-6 to 1e6, for one series and for 40 fitted at once
+        x = np.asarray(parse_config(f"scenario = {scenario}").families()[0].m_values, dtype=float)
+        design = np.column_stack([x, np.ones_like(x)])
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            weights = 10.0 ** rng.uniform(-6, 6, x.size)
+            sw = np.sqrt(weights)
+            series = -0.4 - 3e-3 * x[:, None] + rng.normal(scale=1e-2, size=(x.size, 40))
+            for y in (series[:, 0], series):
+                coef, *_ = np.linalg.lstsq(design * sw[:, None], (y.T * sw).T, rcond=None)
+                expected = (coef[0], coef[1], y - design @ coef)
+                slope, intercept, residuals, chi2 = analysis._weighted_line_fit(x, y, weights)
+                for got, want in zip((slope, intercept, residuals), expected):
+                    np.testing.assert_allclose(got, want, rtol=1e-12,
+                                               atol=1e-12 * np.abs(want).max())
+                np.testing.assert_allclose(chi2, weights @ expected[2] ** 2, rtol=1e-12)
+            # an exactly linear series leaves rounding only
+            residuals = analysis._weighted_line_fit(x, -0.4 - 3e-3 * x, weights)[2]
+            assert np.abs(residuals).max() <= 1e-12
+
     def test_batched_null_matches_per_draw_fits(self, baseline_model):
         """The one-call null agrees with one weighted fit per bootstrap draw."""
         family = repetition_family([GATE_X_PI], range(0, 61, 10))

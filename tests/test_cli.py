@@ -654,11 +654,12 @@ class TestMain:
 
     def test_unallocatable_gate_string_is_an_error_line(self, tmp_path, capsys):
         # within the repeat-count bound, but a list of about 0.7 EiB: Python
-        # refuses it at once with a MemoryError that has no message
+        # refuses it at once with a MemoryError that has no message, which
+        # used to print as a bare "error: MemoryError" without the key
         path = tmp_path / "run.cfg"
         path.write_text('scenario = custom\nfamily = cyclic\ngates = "I*100000000000000000"\n')
         assert main(["validate", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert capsys.readouterr().err == "error: gates: too many gates to hold in memory\n"
 
     def test_unallocatable_resamples_are_an_error_line(self, tmp_path, capsys):
         # validate accepts any count; numpy refuses the 114 PiB null draw at once
@@ -757,8 +758,10 @@ class TestArtifactWriter:
     # noisy for the delta method, and the repetition run pin the other two
     # null paths; the repetition digest was re-captured when its p-value
     # took the Monte Carlo form (1 + #{null >= chi2}) / (R + 1), the only
-    # bytes that changed.  ``method`` is the details.null.method of every
-    # report that has a null.
+    # bytes that changed.  The fig3b-exact and repetition-sampled digests were
+    # re-captured when the repetition line fit took its closed form: only the
+    # RepLinearity reports' fit floats changed, in their last bits.  ``method``
+    # is the details.null.method of every report that has a null.
     PINNED = {
         "cyclic-sampled": (
             'scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 1000\n'
@@ -766,7 +769,7 @@ class TestArtifactWriter:
             "0e30af36cf35fafba6193df2df154787f9a08b5740e0bc05f00c67d8ef521c3b", "delta"),
         "fig3b-exact": (
             "scenario = fig3b\nshots = exact\n", 84,
-            "59ca9b9451a063da530a2aa88372382869b4fd700f1e726fa4c121c74d38ea4d", None),
+            "c4c0865e32cd9bed37288f1269f5d35c26a6ceb3995d3b8f97dbb4046bf2e41b", None),
         "permutation-sampled": (
             'scenario = custom\nfamily = permutation\ngates = "I X_pi"\nn = 6\nshots = 1000\n'
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 18,
@@ -779,7 +782,7 @@ class TestArtifactWriter:
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
             "m_values = [0, 10, 20, 30, 40]\nshots = 1000\n"
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 16,
-            "765731973a889f46911c7b20c5ccfa7dd1ec366e5e4f7dd5eac4a7b994f01cdf", "bootstrap"),
+            "ddc97b0c6afba294f698362adb7b0694e2a24672f43cb2991df7de641b2a09cb", "bootstrap"),
     }
 
     @pytest.mark.parametrize("name", ["cyclic-sampled", "repetition-sampled"])
@@ -1010,19 +1013,37 @@ def test_run_starts_no_openblas_workers(tmp_path):
     assert out.stdout.splitlines()[-1] == "1"
 
 
-def test_exact_permutation_runs_need_no_svd(tmp_path, capsys, monkeypatch):
-    # an exact permutation run needs LU factorizations only; numpy's 2-norm
-    # cond, norm(., 2) and matrix_rank all call the svd of numpy's linalg module
-    argv = ["run", "--scenario", "fig2a", "--shots", "exact", "--out"]
-    assert main([*argv, str(tmp_path / "plain")]) == 2
+def _assert_runs_without_svd(tmp_path, monkeypatch, argv, status):
+    """Run ``ctxdep run argv`` plain, then with numpy's svd and lstsq refused: the
+    second run must exit the same way and write the same bytes."""
+    argv = ["run", *argv, "--out"]
+    assert main([*argv, str(tmp_path / "plain")]) == status
     linalg = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("svd called")
+        raise AssertionError("svd or lstsq called")
 
-    monkeypatch.setattr(linalg, "svd", refuse)
-    assert main([*argv, str(tmp_path / "no-svd")]) == 2
+    for module in (linalg, sys.modules["numpy.linalg"]):
+        monkeypatch.setattr(module, "svd", refuse)
+        monkeypatch.setattr(module, "lstsq", refuse)
+    assert main([*argv, str(tmp_path / "no-svd")]) == status
     assert _tree_digest(tmp_path / "no-svd") == _tree_digest(tmp_path / "plain")
+
+
+def test_exact_permutation_runs_need_no_svd(tmp_path, capsys, monkeypatch):
+    # an exact permutation run needs LU factorizations only; numpy's 2-norm
+    # cond, norm(., 2) and matrix_rank all call the svd of numpy's linalg module
+    _assert_runs_without_svd(tmp_path, monkeypatch, ["--scenario", "fig2a", "--shots", "exact"], 2)
+
+
+# fig3a at 1e3 shots finds no ContextDependent member: its phi = 0.02 fit is Inconclusive
+@pytest.mark.parametrize("scenario,shots,status", [("fig3a", "exact", 2), ("fig3a", "1000", 0),
+                                                   ("fig3b", "exact", 2)])
+def test_repetition_runs_need_no_svd(tmp_path, capsys, monkeypatch, scenario, shots, status):
+    # the repetition line fit is a closed form, where numpy's lstsq calls
+    # LAPACK's SVD-based gelsd
+    _assert_runs_without_svd(tmp_path, monkeypatch, ["--scenario", scenario, "--shots", shots],
+                             status)
 
 
 def test_package_exports_each_layers_all():

@@ -313,6 +313,8 @@ class TestBuildModel:
         assert baseline_model.gate_ptm(GATE_X_MINUS_HALF) is first
 
     def test_generators_built_once_per_model(self, monkeypatch):
+        # the dissipator depends on the rates only: built once per rate set, so
+        # models at two phi values with equal rates share one read-only copy
         calls = []
 
         def counting(*args):
@@ -320,14 +322,23 @@ class TestBuildModel:
             return dissipator_generator(*args)
 
         monkeypatch.setattr(ctxdep.noise, "dissipator_generator", counting)
+        ctxdep.noise._dissipator.cache_clear()
         params = make_params(phi=0.005)
         model = build_model(params)
+        dissipator = model.generators[1]
+        assert build_model(make_params(phi=0.03)).generators[1] is dissipator
         assert len(calls) == 1
+        assert np.array_equal(dissipator, dissipator_generator(*calls[0]))
+        with pytest.raises(ValueError, match="read-only"):
+            dissipator[0, 0] = 0.0
+        # other rates build another one
+        assert build_model(make_params(phi=0.005, gamma1=1e4)).generators[1] is not dissipator
+        assert len(calls) == 2
         # a gate outside the in/out set reuses the model's generators too,
         # and matches the standalone construction bit for bit
         gate = GateSpec("X", 0.7, 3)
         assert np.array_equal(model.gate_ptm(gate), noisy_gate(gate, params, model.basis))
-        assert len(calls) == 2  # the second one is noisy_gate's own
+        assert len(calls) == 2
 
     def test_fixed_parts_are_shared_and_read_only(self):
         # the basis, its change-of-basis matrix and the ideal rotation generators
