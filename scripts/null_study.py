@@ -37,8 +37,11 @@ else ``summary.spread``, else ``summary.max_rise``), the report's
 ``threshold`` as ``threshold99`` when the statistic is one of the first two,
 which a report judges against its threshold (else ``null``: a witness
 judges each rise on its own), and
-``linear_size``: the largest ``||P^-1||_2 ||sd(P)||_F`` over the reference
-table of a cyclic family, and over the members of any other.
+``linear_size``: the family's ``details.noise_amplification``, the largest
+``||P^-1||_F ||sd(P)||_F`` over the reference table of a cyclic family, and
+over the members of any other.  It bounds ``||P^-1||_2 ||sd(P)||_F``, the
+size that the delta method needs below 1, from above, within a factor 2
+(``null`` where no report carries it, as in trees before it was reported).
 
 ``compare`` prints each arm's verdict counts for both files and the gate for
 each test found in both.  The right verdict is ContextIndependent at phi = 0 and
@@ -87,16 +90,6 @@ def _spam_map(rng, cond: float) -> np.ndarray:
     return _rotation(rng) @ shrink @ _rotation(rng)
 
 
-def _linear_size(tables) -> float:
-    from ctxdep import analysis
-
-    try:
-        return max(analysis._linear_size(np.linalg.inv(t.entries), sd)
-                   for t, sd in zip(tables, analysis._cell_sd(tables)))
-    except np.linalg.LinAlgError:
-        return math.inf
-
-
 def _finite(value):
     return value if value is not None and math.isfinite(value) else None
 
@@ -134,9 +127,12 @@ def run(seeds, shots_list, out_path: str) -> int:
                     for shots in shots_list:
                         cfg.seed, cfg.shots = seed, shots
                         for family in families:
-                            tables, p0 = _simulate(cfg, family, distorted)
-                            size = _linear_size(tables if p0 is None else [p0])
-                            for report in _family_reports(cfg, family, tables, p0, cal):
+                            reports = _family_reports(cfg, family,
+                                                      *_simulate(cfg, family, distorted), cal)
+                            # a witness report does not carry it, nor do older trees
+                            size = next((r.details["noise_amplification"] for r in reports
+                                         if "noise_amplification" in r.details), None)
+                            for report in reports:
                                 statistic, threshold = _statistic(report)
                                 arm_rows.append({
                                     "test": _report_name(family, report),

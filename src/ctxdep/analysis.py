@@ -79,7 +79,12 @@ CONDITION_LIMIT = 1e6
 # The first-order expansion of (P + dP)^-1 converges while ||P^-1 dP|| < 1.  A
 # reference table whose ||P^-1||_2 ||sd(P)||_F reaches this bound has shot noise
 # too large for the delta-method null, and the cyclic test resamples instead.
+# The rule is read off the Frobenius bound ||P^-1||_F ||sd(P)||_F (_linear_size),
+# which lies within a factor sqrt(n) above it; only a bound that straddles the
+# limit takes the 2-norm, through the SVD (_two_norm_or_bound).
 LINEAR_NULL_LIMIT = 1.0
+# Relative slack for rounding when an SVD-free norm bounds a 2-norm quantity.
+NORM_MARGIN = 1e-6
 # Largest deviation from (1, 0, ..., 0) that unitarity_u accepts in a first row.
 TRACE_PRESERVING_TOL = 1e-8
 # Members per block of null draws: a spread test holds one (block x R) slice
@@ -184,6 +189,23 @@ def _cond(matrix: np.ndarray):
     # 1-norm (inf if singular, also per matrix of a stack): it needs one LU
     # inverse, on the path slogdet and solve use, where the 2-norm needs the SVD
     return np.linalg.cond(matrix, 1)
+
+
+def _two_norm_or_bound(low: float, high: float, limit: float, two_norm) -> float:
+    """A 2-norm quantity known to lie in ``[low, high]``, or the bound that settles
+    its comparison with ``limit``.
+
+    ``low`` and ``high`` come from SVD-free norms through norm equivalence.
+    ``two_norm()`` takes the quantity through LAPACK's SVD and is called only
+    when ``limit`` falls within the bounds, widened by ``NORM_MARGIN`` for
+    rounding, or a bound is NaN.  So the result compares with ``limit`` as the
+    2-norm quantity itself would.
+    """
+    if high * (1 + NORM_MARGIN) < limit:
+        return high
+    if low * (1 - NORM_MARGIN) > limit:
+        return low
+    return float(two_norm())
 
 
 def calibration_from_states_effects(states, effects) -> CalibrationMatrices:
@@ -313,6 +335,8 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
     if all exact).  An exact member whose condition exceeds
     ``CONDITION_LIMIT`` gets ``-inf``, as a singular one does, and
     ``details["excluded_condition"]`` maps the label of each such member to its condition.
+    Sampled members set ``details["noise_amplification"]``, the largest
+    member's :func:`_linear_size`.
     """
     entries = np.stack([t.entries for t in tables])
     observed = log_abs_det_many(entries)
@@ -323,6 +347,8 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
         if excluded:
             details["excluded_condition"] = excluded
         return observed, None
+    sizes = _linear_size(_inverses(entries, np.isfinite(observed)), _cell_sd(tables))
+    details["noise_amplification"] = float(sizes.max())
     return observed, (range(len(tables)), lambda j: log_abs_det_many(
         resample_cells(tables[j], resamples, seed)))
 
@@ -334,12 +360,24 @@ def _cell_sd(tables) -> np.ndarray:
     return np.sqrt(p * (1.0 - p) / shots[:, None, None])
 
 
-def _linear_size(inverse: np.ndarray, sd: np.ndarray) -> float:
-    """``||P^-1||_2 ||sd(P)||_F`` of a table, given its inverse and cell standard deviations.
+def _inverses(entries: np.ndarray, regular) -> np.ndarray:
+    """Inverse of each ``regular`` table of a stack, and NaN in place of the others."""
+    out = np.full_like(entries, np.nan)
+    out[regular] = np.linalg.inv(entries[regular])
+    return out
 
-    The delta method needs it below ``LINEAR_NULL_LIMIT``.
+
+def _linear_size(inverse: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """``||P^-1||_F ||sd(P)||_F`` of a table or a stack of tables, given their inverses
+    (NaN for a singular table, whose size is inf) and cell standard deviations.
+
+    It bounds ``||P^-1||_2 ||sd(P)||_F``, which the delta method needs below
+    ``LINEAR_NULL_LIMIT``, from above and within a factor ``sqrt(n)``, and needs
+    no SVD.  Reports give it as ``details["noise_amplification"]``.
     """
-    return float(np.linalg.norm(inverse, 2) * np.linalg.norm(sd))
+    with np.errstate(invalid="ignore"):  # an overflowed inverse times zero sd
+        size = np.linalg.norm(inverse, axis=(-2, -1)) * np.linalg.norm(sd, axis=(-2, -1))
+    return np.where(np.isnan(size), np.inf, size)
 
 
 def _delta_null(tables, stats, sigma, shared, resamples: int, seed: int):
@@ -483,8 +521,7 @@ def _cyclic_bootstrap(tables, p0, r: int, resamples: int, seed: int, details: di
     """
     p0_draws = resample_cells(p0, resamples, seed)
     regular = np.isfinite(log_abs_det_many(p0_draws))
-    p0_inv = np.full_like(p0_draws, np.nan)
-    p0_inv[regular] = np.linalg.inv(p0_draws[regular])
+    p0_inv = _inverses(p0_draws, regular)
     if not regular.all():
         details["inconclusive_reason"] = "singular reference draws: " + ", ".join(
             map(str, np.flatnonzero(~regular))
@@ -506,44 +543,60 @@ def cyclic_fidelity_test(
     Rotating a sequence cannot change the spectrum of the associated map, so
     the normalized power traces ``F^(r)`` must agree across all rotations.
     All orders ``r = 1..n`` are reported; the verdict is based on the
-    requested order.  An exact reference that cannot be inverted raises
-    :class:`SingularReference`; a sampled one makes the result Inconclusive.
+    requested order.  A reference whose 2-norm condition number exceeds
+    ``CONDITION_LIMIT`` cannot be inverted: an exact one raises
+    :class:`SingularReference`, and a sampled one makes the result
+    Inconclusive, with no null (method ``none``).  ``details`` reports the
+    reference's 1-norm condition number, ``kappa_1``, which needs one LU
+    inverse; ``kappa_2`` lies in ``[kappa_1 / n, n kappa_1]``, so only a
+    ``kappa_1`` within that factor of the limit takes ``kappa_2`` through the SVD.
 
     The finite-shot null is the delta method's.  With ``M_j = P_j P0^-1``,
     ``dF_j = (r/n) [tr(P0^-1 M_j^(r-1) dP_j) - tr(P0^-1 M_j^r dP0)]``: the
     ``dP_j`` terms are independent across members, and the ``dP0`` term,
     shared by all of them, is drawn once per null draw.  A sampled reference
     whose shot noise reaches ``LINEAR_NULL_LIMIT`` gets the parametric
-    bootstrap instead (see :func:`_cyclic_bootstrap`).
+    bootstrap instead (see :func:`_cyclic_bootstrap`); the Frobenius bound of
+    :func:`_linear_size` settles that rule, and is reported as
+    ``details["noise_amplification"]``.
     """
     p0_entries = np.asarray(p0.entries, dtype=float)
-    cond = float(np.linalg.cond(p0_entries))
-    ill = None if cond <= CONDITION_LIMIT else (  # also for a NaN condition number
-        f"reference table condition number {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
+    n = p0_entries.shape[0]
+    cond = float(_cond(p0_entries))
+    # kappa_1 / n <= kappa_2 <= n kappa_1
+    cond2 = _two_norm_or_bound(cond / n, cond * n, CONDITION_LIMIT,
+                               lambda: np.linalg.cond(p0_entries))
+    ill = None if cond2 <= CONDITION_LIMIT else (  # also for a NaN condition number
+        # the larger of the two: each exceeds the limit where the other may not
+        f"reference table condition number {max(cond, cond2):.2e} exceeds {CONDITION_LIMIT:.0e}"
     )
     if ill and p0.is_exact:
         raise SingularReference(ill)
-    n = p0_entries.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"r must lie in 1..{n}")
 
     details: dict = {"reference_condition": cond}
-    null = None
+    sampled = not (p0.is_exact and all(t.is_exact for t in tables))
+    if sampled:
+        p0_inv = np.linalg.inv(p0_entries) if np.isfinite(cond) else np.full((n, n), np.nan)
+        sd0 = _cell_sd([p0])[0]
+        size = float(_linear_size(p0_inv, sd0))
+        details["noise_amplification"] = size
+    null, method = None, "delta"
     if ill:  # a sampled reference gives no statistic, observed or null
         details["inconclusive_reason"] = ill
         fid_all = np.full((len(tables), n), np.nan)
-        null = range(len(tables)), lambda j: math.nan
+        null, method = (range(len(tables)), lambda j: math.nan), "none"
     else:
         entries = np.stack([t.entries for t in tables])
         fid_all = _fidelities_observed(entries, p0_entries, n)
-    method = "delta"
-    if not ill and not (p0.is_exact and all(t.is_exact for t in tables)):
-        p0_inv = np.linalg.inv(p0_entries)
-        sd0 = _cell_sd([p0])[0]
-        if _linear_size(p0_inv, sd0) >= LINEAR_NULL_LIMIT:
+        # ||P0^-1||_2 <= ||P0^-1||_F <= sqrt(n) ||P0^-1||_2
+        if sampled and _two_norm_or_bound(
+                size / math.sqrt(n), size, LINEAR_NULL_LIMIT,
+                lambda: np.linalg.norm(p0_inv, 2) * np.linalg.norm(sd0)) >= LINEAR_NULL_LIMIT:
             method = "bootstrap"
             null = _cyclic_bootstrap(tables, p0, r, resamples, seed, details)
-        else:
+        elif sampled:
             grad, grad_ref = _cyclic_gradients(entries, p0_inv, r)
             sigma = np.sqrt(np.sum(grad**2 * _cell_sd(tables) ** 2, axis=(-2, -1)))
             shared = (grad_ref * sd0).reshape(len(tables), -1)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -426,8 +427,62 @@ class TestCyclicFidelityTest:
     def test_reference_condition_is_always_reported(self, baseline_model):
         p0 = prob_table(seq("ref"), baseline_model)
         report = cyclic_fidelity_test([p0], p0, r=1)
-        # the 2-norm value: only the calibration check takes the 1-norm
-        assert report.details["reference_condition"] == np.linalg.cond(p0.entries)
+        # the 1-norm value, which needs no SVD, as the calibration check's
+        assert report.details["reference_condition"] == analysis._cond(p0.entries)
+
+    def test_svd_free_bounds_decide_as_the_svd(self, monkeypatch):
+        # the reference's condition gate (kappa_2 in [kappa_1 / 4, 4 kappa_1]) and
+        # the delta-method rule (||P^-1||_2 in [||P^-1||_F / 2, ||P^-1||_F]) must
+        # decide as the 2-norm would, and take the SVD only inside the band
+        linalg = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+        svd = linalg.svd
+        calls = []
+        monkeypatch.setattr(linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        margin = analysis.NORM_MARGIN
+        inside = []
+
+        def check(low, high, limit, two_norm, value, above):
+            calls.clear()
+            settled = analysis._two_norm_or_bound(low, high, limit, two_norm)
+            assert above(settled, limit) == above(value, limit)
+            inside.append(low * (1 - margin) <= limit <= high * (1 + margin))
+            assert len(calls) == inside[-1]
+
+        rng = np.random.default_rng(30)
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        wide_one_norm = hadamard @ np.diag([1.0, 1.0, 1.0, 9e5]) @ hadamard
+        wide_two_norm = np.diag([1.0, 3e-6, 3e-6, 3e-6])
+        wide_two_norm[0, 1:] = 1.0
+        tables = [wide_one_norm, wide_two_norm]
+        tables += [random_spam_distortion(rng, 10 ** rng.uniform(4.5, 7.5)) for _ in range(200)]
+        limit = analysis.CONDITION_LIMIT
+        for a in tables:
+            cond1, s = analysis._cond(a), svd(a, compute_uv=False)
+            check(cond1 / 4, 4 * cond1, limit, lambda: np.linalg.cond(a), s[0] / s[-1],
+                  lambda v, bound: not v <= bound)
+            if a is wide_one_norm:
+                assert cond1 > limit >= s[0] / s[-1]
+            if a is wide_two_norm:
+                assert s[0] / s[-1] > limit >= cond1
+        assert any(inside) and not all(inside)
+
+        inside.clear()
+        # an orthogonal table has ||P^-1||_F = 2 ||P^-1||_2; one near rank one
+        # in its inverse has ||P^-1||_F ~ ||P^-1||_2
+        cases = [(hadamard, size) for size in (0.499, 0.51, 0.99, 1.01)]
+        cases += [(np.diag([1.0, 1.0, 1.0, 1e-3]), size) for size in (0.9999, 1.0001)]
+        cases += [(random_spam_distortion(rng, 10 ** rng.uniform(0, 3)),
+                   10 ** rng.uniform(-0.7, 0.7)) for _ in range(200)]
+        for p, size in cases:
+            inverse = np.linalg.inv(p)
+            sd = rng.uniform(size=(4, 4))
+            sd *= size / (svd(inverse, compute_uv=False)[0] * np.linalg.norm(sd))
+            frobenius = float(analysis._linear_size(inverse, sd))
+            check(frobenius / 2, frobenius, 1.0,
+                  lambda: np.linalg.norm(inverse, 2) * np.linalg.norm(sd),
+                  svd(inverse, compute_uv=False)[0] * np.linalg.norm(sd),
+                  lambda v, bound: v >= bound)
+        assert any(inside) and not all(inside)
 
     def test_observed_fidelities_match_exact_arithmetic(self):
         # the refined solve must stay far below the 1e-9 floor even when SPAM
@@ -511,6 +566,45 @@ def _fd_gradient(f, x, h=1e-7):
         step[cell] = h
         grad[cell] = (f(x + step) - f(x - step)) / (2 * h)
     return grad
+
+
+class TestNoiseAmplification:
+    """Sampled reports carry ``||P^-1||_F ||sd(P)||_F``; exact ones do not."""
+
+    @staticmethod
+    def size(table):
+        sd = analysis._cell_sd([table])[0]
+        return np.linalg.norm(np.linalg.inv(table.entries)) * np.linalg.norm(sd)
+
+    def test_log_det_tests_report_the_largest_member(self, baseline_model):
+        cal = ideal_calibration()
+        family = repetition_family([GATE_X_PI], [0, 2, 4, 6])
+        for test, args in ((det_permutation_test, (cal,)),
+                           (repetition_test, (family.m_values, cal))):
+            exact = test(family_tables(family, baseline_model), *args)
+            assert "noise_amplification" not in exact.details
+            tables = family_tables(family, baseline_model, shots=1000, seed=4)
+            report = test(tables, *args, resamples=100, seed=4)
+            assert report.details["noise_amplification"] == pytest.approx(
+                max(map(self.size, tables)), rel=1e-12)
+
+    def test_cyclic_test_reports_the_reference(self, baseline_model):
+        family = cyclic_family(seq("x_i3", GATE_X_PI, GATE_IDLE, GATE_IDLE, GATE_IDLE))
+        exact = cyclic_fidelity_test(family_tables(family, baseline_model),
+                                     prob_table(seq("ref"), baseline_model))
+        assert "noise_amplification" not in exact.details
+        tables = family_tables(family, baseline_model, shots=1000, seed=4)
+        p0 = sample_table(prob_table(seq("ref"), baseline_model), 1000, seed=4)
+        report = cyclic_fidelity_test(tables, p0, resamples=100, seed=4)
+        assert report.details["noise_amplification"] == pytest.approx(self.size(p0), rel=1e-12)
+
+    def test_singular_member_gives_inf(self):
+        report = det_permutation_test([one_shot(EYE, "a"), one_shot(np.ones((4, 4)), "b")],
+                                      resamples=100)
+        assert report.details["noise_amplification"] == np.inf
+        out = report.to_dict()
+        assert out["details"]["noise_amplification"] is None
+        assert "details.noise_amplification" in out["details"]["non_finite"]
 
 
 class TestDeltaNull:

@@ -548,6 +548,16 @@ class TestMain:
                             report["details"]["inconclusive_reason"])
         assert (out / "phi_0" / "tables" / "reference.csv").exists()
 
+    def test_ill_conditioned_reference_names_no_null(self, tmp_path, capsys):
+        # an ill-conditioned sampled reference draws no null, delta or other:
+        # its null placeholders are all NaN
+        assert main(["run", "--scenario", "fig2b", "--shots", "1", "--out", str(tmp_path)]) == 0
+        reports = [json.loads(p.read_text()) for p in tmp_path.rglob("report_cyclicfid.json")]
+        assert len(reports) == 3
+        for report in reports:
+            assert report["details"]["null"] == {"method": "none", "draws": 500,
+                                                 "non_finite_frac": 1.0}
+
     def test_single_shot_witness_is_inconclusive(self, tmp_path, capsys):
         # at 1 shot the witness intervals have zero width; at seed 2 the 0/1
         # tables at phi = 0 show a rise (log 3), which such intervals cannot
@@ -760,29 +770,32 @@ class TestArtifactWriter:
     # took the Monte Carlo form (1 + #{null >= chi2}) / (R + 1), the only
     # bytes that changed.  The fig3b-exact and repetition-sampled digests were
     # re-captured when the repetition line fit took its closed form: only the
-    # RepLinearity reports' fit floats changed, in their last bits.  ``method``
-    # is the details.null.method of every report that has a null.
+    # RepLinearity reports' fit floats changed, in their last bits.  The four
+    # sampled digests were re-captured when sampled reports gained
+    # details.noise_amplification and CyclicFid's reference_condition became
+    # the 1-norm condition; no other byte changed.  ``method`` is the
+    # details.null.method of every report that has a null.
     PINNED = {
         "cyclic-sampled": (
             'scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 1000\n'
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
-            "0e30af36cf35fafba6193df2df154787f9a08b5740e0bc05f00c67d8ef521c3b", "delta"),
+            "4a72b9fa7c56f3020ec3e155ecf451f647e4199070e6233fe992c8a6e3808ff8", "delta"),
         "fig3b-exact": (
             "scenario = fig3b\nshots = exact\n", 84,
             "c4c0865e32cd9bed37288f1269f5d35c26a6ceb3995d3b8f97dbb4046bf2e41b", None),
         "permutation-sampled": (
             'scenario = custom\nfamily = permutation\ngates = "I X_pi"\nn = 6\nshots = 1000\n'
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 18,
-            "bf35a4709ab7efa52dd68cf88be0fe81ae91ee11f056fc427e5241a99d31ec78", "bootstrap"),
+            "2647a84529f782d3c58c654205e162ef426eb5dedb621fe0a953267c97919969", "bootstrap"),
         "cyclic-bootstrap": (
             'scenario = custom\nfamily = cyclic\ngates = "X_pi I*20"\nshots = 10\n'
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 48,
-            "0e3245925c80d2ed415a3505dcd25b0c0ab8d15fe9cb62180242bf8046a09430", "bootstrap"),
+            "b1676841bba0d8e2cd8c59dcdaf547321a10fd60fcfe6ee8acdc9b3209db3e73", "bootstrap"),
         "repetition-sampled": (
             'scenario = custom\nfamily = repetition\ngates = "X_pi"\n'
             "m_values = [0, 10, 20, 30, 40]\nshots = 1000\n"
             "bootstrap_resamples = 120\nphi_values = [0, 0.005]\nseed = 5\n", 16,
-            "ddc97b0c6afba294f698362adb7b0694e2a24672f43cb2991df7de641b2a09cb", "bootstrap"),
+            "d15e420bdbd37817e97a7b941d8c8bcb496a1293e8d2b47e9f57aab6c08ac542", "bootstrap"),
     }
 
     @pytest.mark.parametrize("name", ["cyclic-sampled", "repetition-sampled"])
@@ -1036,12 +1049,16 @@ def test_exact_permutation_runs_need_no_svd(tmp_path, capsys, monkeypatch):
     _assert_runs_without_svd(tmp_path, monkeypatch, ["--scenario", "fig2a", "--shots", "exact"], 2)
 
 
-# fig3a at 1e3 shots finds no ContextDependent member: its phi = 0.02 fit is Inconclusive
-@pytest.mark.parametrize("scenario,shots,status", [("fig3a", "exact", 2), ("fig3a", "1000", 0),
+# fig2b and fig3a at 1e3 shots find no ContextDependent member (fig3a's phi = 0.02
+# fit is Inconclusive)
+@pytest.mark.parametrize("scenario,shots,status", [("fig2b", "exact", 2), ("fig2b", "1000", 0),
+                                                   ("fig3a", "exact", 2), ("fig3a", "1000", 0),
                                                    ("fig3b", "exact", 2)])
-def test_repetition_runs_need_no_svd(tmp_path, capsys, monkeypatch, scenario, shots, status):
+def test_runs_need_no_svd(tmp_path, capsys, monkeypatch, scenario, shots, status):
     # the repetition line fit is a closed form, where numpy's lstsq calls
-    # LAPACK's SVD-based gelsd
+    # LAPACK's SVD-based gelsd; the cyclic test settles its condition gate and
+    # its delta-method rule from 1-norm and Frobenius bounds, which are decisive
+    # for these references
     _assert_runs_without_svd(tmp_path, monkeypatch, ["--scenario", scenario, "--shots", shots],
                              status)
 
