@@ -4,12 +4,14 @@ The arms are scenarios: fig2a (PermDet), fig2b (CyclicFid), and fig3a and
 fig3b (RepLinearity and CPWitness per repeated block).  For each seed and shot
 count the study sets ``seed`` and ``shots`` on the scenario's ``RunConfig``
 and calls the two steps that ``ctxdep run`` takes per family,
-``cli._simulate`` and ``cli._family_reports``, with the ideal calibration.
-So its rows are the reports a run at that seed would write, with the config's
-draw count and cyclic order (``bootstrap_resamples`` = 500, ``cyclic_order``
-= 2), and it has no code of its own per test.  It runs in-process, with the
-ctxdep tree found on ``PYTHONPATH``; that tree must have those two steps and
-``cli._report_name``, which trees before them lack, so they cannot be a baseline.
+``cli._simulate`` and ``cli._family_reports``.  So its rows are the reports a
+run at that seed would write, with the config's draw count and cyclic order
+(``bootstrap_resamples`` = 500, ``cyclic_order`` = 2), and it has no code of
+its own per test.  It runs in-process, with the ctxdep tree found on
+``PYTHONPATH``; that tree must have those two steps and ``cli._report_name``,
+which trees before them lack, so they cannot be a baseline.  A tree whose
+``_family_reports`` still takes a calibration argument runs its own copy of
+this script.
 
 Arms, one per (phi, SPAM, shots):
 
@@ -105,11 +107,10 @@ def _statistic(report) -> tuple:
 
 
 def run(seeds, shots_list, out_path: str) -> int:
-    from ctxdep import analysis, noise
+    from ctxdep import noise
     from ctxdep.cli import _family_reports, _report_name, _simulate, build_model
     from ctxdep.config import parse_config
 
-    cal = analysis.ideal_calibration()
     rows = []
     for phi in PHIS:
         for cond in (None, *SPAM_CONDS):
@@ -128,7 +129,7 @@ def run(seeds, shots_list, out_path: str) -> int:
                         cfg.seed, cfg.shots = seed, shots
                         for family in families:
                             reports = _family_reports(cfg, family,
-                                                      *_simulate(cfg, family, distorted), cal)
+                                                      *_simulate(cfg, family, distorted))
                             # a witness report does not carry it, nor do older trees
                             size = next((r.details["noise_amplification"] for r in reports
                                          if "noise_amplification" in r.details), None)

@@ -35,27 +35,13 @@ import numpy as np
 
 from . import experiment
 from .experiment import ProbabilityTable, resample_cells
-from .gates import IDEAL_GATE_SET
-from .noise import gate_unitary
-from .ptm import (
-    log_abs_det,
-    log_abs_det_many,
-    pauli_basis,
-    trace_powers,
-    vectorize_effect,
-    vectorize_state,
-)
+from .ptm import log_abs_det, log_abs_det_many, trace_powers
 
 __all__ = [
-    "IllConditioned",
     "NotTracePreserving",
     "SingularReference",
     "Verdict",
-    "CalibrationMatrices",
     "TestReport",
-    "ideal_calibration",
-    "calibration_from_states_effects",
-    "raw_estimate",
     "det_permutation_test",
     "cyclic_fidelity_test",
     "repetition_test",
@@ -72,9 +58,9 @@ logger = logging.getLogger(__name__)
 EXACT_SPREAD_TOL = 1e-9
 # Residual 2-norm below which an exact-table decay series counts as linear.
 LINEAR_RESIDUAL_TOL = 1e-8
-# Reject solves against matrices more ill-conditioned than this.  An LU log-det
-# is off by about n cond eps, which reaches the 1e-9 exact floor near cond 1e6,
-# so an exact table beyond it counts as singular.
+# Condition number beyond which an exact table counts as singular and a cyclic
+# reference cannot be inverted.  An LU log-det is off by about n cond eps, which
+# reaches the 1e-9 exact floor near cond 1e6.
 CONDITION_LIMIT = 1e6
 # The first-order expansion of (P + dP)^-1 converges while ||P^-1 dP|| < 1.  A
 # reference table whose ||P^-1||_2 ||sd(P)||_F reaches this bound has shot noise
@@ -83,6 +69,9 @@ CONDITION_LIMIT = 1e6
 # which lies within a factor sqrt(n) above it; only a bound that straddles the
 # limit takes the 2-norm, through the SVD (_two_norm_or_bound).
 LINEAR_NULL_LIMIT = 1.0
+# log|det B| + log|det C| of the ideal single-qubit preparations (C) and effects
+# (B): the shift from log|det P| to raw-estimate units; the tests derive it.
+IDEAL_SPAM_LOG_DET = -1.3862943611198912
 # Relative slack for rounding when an SVD-free norm bounds a 2-norm quantity.
 NORM_MARGIN = 1e-6
 # Largest deviation from (1, 0, ..., 0) that unitarity_u accepts in a first row.
@@ -90,10 +79,6 @@ TRACE_PRESERVING_TOL = 1e-8
 # Members per block of null draws: a spread test holds one (block x R) slice
 # of its null at a time, never the whole (members x R) matrix.
 NULL_BLOCK = 64
-
-
-class IllConditioned(ValueError):
-    """A calibration or reference matrix is too ill-conditioned to invert."""
 
 
 class NotTracePreserving(ValueError):
@@ -108,26 +93,6 @@ class Verdict(enum.Enum):
     CONTEXT_INDEPENDENT = "ContextIndependent"
     CONTEXT_DEPENDENT = "ContextDependent"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class CalibrationMatrices:
-    """Nominal effect (B) and preparation (C) coordinate matrices.
-
-    ``b[:, k]`` holds the coordinates of effect ``k``, ``c[:, i]`` those of
-    preparation ``i``; a table satisfies ``P = B^T S C`` when the nominal
-    descriptions are accurate.  ``cond_b`` and ``cond_c`` are their 1-norm
-    condition numbers.
-    """
-
-    b: np.ndarray
-    c: np.ndarray
-    cond_b: float
-    cond_c: float
-
-    @property
-    def log_abs_det(self) -> float:
-        return log_abs_det(self.b) + log_abs_det(self.c)
 
 
 @dataclass
@@ -208,57 +173,6 @@ def _two_norm_or_bound(low: float, high: float, limit: float, two_norm) -> float
     return float(two_norm())
 
 
-def calibration_from_states_effects(states, effects) -> CalibrationMatrices:
-    """Build calibration matrices from nominal d x d states and effects.
-
-    Requires exactly ``d^2`` of each, spanning the operator space; rank
-    deficiency or extreme conditioning is refused because the raw estimator
-    needs both matrices inverted.
-    """
-    d = np.asarray(states[0]).shape[0]
-    if len(states) != d**2 or len(effects) != d**2:
-        raise IllConditioned(
-            f"need exactly {d ** 2} states and effects for dimension {d}, "
-            f"got {len(states)} and {len(effects)}"
-        )
-    basis = pauli_basis(int(round(math.log2(d))))
-    c = np.column_stack([vectorize_state(np.asarray(s, complex), basis) for s in states])
-    b = np.column_stack([vectorize_effect(np.asarray(e, complex), basis) for e in effects])
-    cond_b, cond_c = _cond(b), _cond(c)
-    if cond_b > CONDITION_LIMIT or cond_c > CONDITION_LIMIT:
-        raise IllConditioned(
-            f"calibration condition numbers ({cond_b:.2e}, {cond_c:.2e}) exceed "
-            f"{CONDITION_LIMIT:.0e}; set not informationally complete enough"
-        )
-    return CalibrationMatrices(b=b, c=c, cond_b=cond_b, cond_c=cond_c)
-
-
-def ideal_calibration() -> CalibrationMatrices:
-    """Calibration for the standard single-qubit in/out gate set.
-
-    Preparations are the ideal gates applied to |0>, effects are the ideal
-    gate adjoints applied to |1><1|; entries are exact (0, +-1/sqrt2, ...).
-    """
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    proj1 = np.diag([0.0, 1.0]).astype(complex)
-    states = []
-    effects = []
-    for gate in IDEAL_GATE_SET:
-        u = gate_unitary(gate)
-        psi = u @ ket0
-        states.append(np.outer(psi, psi.conj()))
-        effects.append(u.conj().T @ proj1 @ u)
-    return calibration_from_states_effects(states, effects)
-
-
-def raw_estimate(table: ProbabilityTable, cal: CalibrationMatrices) -> np.ndarray:
-    """Uncorrected estimate ``(B^-1)^T P C^-1``, via linear solves, never inverses."""
-    if cal.cond_b > CONDITION_LIMIT or cal.cond_c > CONDITION_LIMIT:
-        raise IllConditioned("calibration matrices too ill-conditioned")
-    x = np.linalg.solve(cal.b.T, np.asarray(table.entries, dtype=float))
-    return np.linalg.solve(cal.c.T, x.T).T
-
-
 def _percentiles(values: np.ndarray, q) -> np.ndarray:
     """``np.percentile(values, q, axis=-1)`` with the default linear method, bit for bit.
 
@@ -316,8 +230,10 @@ def _null_ci(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _null_details(method: str, draws: int, non_finite: int, members: int) -> dict:
-    """``details["null"]``: method, draws per member and the share of draws not finite."""
-    return {"method": method, "draws": draws, "non_finite_frac": non_finite / (members * draws)}
+    """``details["null"]``: method, draws per member and the share of draws not finite
+    (0 for a null of no draws)."""
+    frac = non_finite / (members * draws) if draws else 0.0
+    return {"method": method, "draws": draws, "non_finite_frac": frac}
 
 
 def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> TestReport:
@@ -411,13 +327,19 @@ def _spread_report(kind, tables, stats, null, method: str, resamples: int, summa
     made in ``order`` and held ``NULL_BLOCK`` members at a time.  Each block
     gives its members' 95% intervals; its draws, centred per member to remove
     the observed member-to-member signal, update the running max and min over
-    members of every draw, whose difference is the null spread.  A null that
+    members of every draw, whose difference is the null spread.  Method
+    ``none`` draws nothing: its thresholds and intervals are NaN.  A null that
     stays at the floor has no width (single-shot 0/1 frequencies have no
     binomial variance) and supports no verdict; nor does one finite member,
     whose spread is 0 whatever the device does.
     """
     ci = (None, None)
-    if null is None:
+    if method == "none":
+        thresholds = (math.nan, math.nan)
+        nan = np.full(len(tables), math.nan)
+        ci = (nan, nan)
+        details["null"] = _null_details(method, 0, 0, len(tables))
+    elif null is None:
         thresholds = (EXACT_SPREAD_TOL, EXACT_SPREAD_TOL)
     else:
         order, draw = null
@@ -454,7 +376,6 @@ def _spread_report(kind, tables, stats, null, method: str, resamples: int, summa
 
 def det_permutation_test(
     tables: list[ProbabilityTable],
-    cal: CalibrationMatrices | None = None,
     resamples: int = 500,
     seed: int = 0,
 ) -> TestReport:
@@ -462,8 +383,8 @@ def det_permutation_test(
 
     The verdict needs no calibration: rearranging a gate multiset cannot
     change the determinant of the table if every instruction always performs
-    the same operation.  When ``cal`` is given, the statistics are also
-    reported shifted into raw-estimate units (a constant offset).  The
+    the same operation.  The statistics are also reported shifted into
+    raw-estimate units by the constant ``IDEAL_SPAM_LOG_DET``.  The
     finite-shot null is the parametric bootstrap's.
     """
     details: dict = {}
@@ -473,10 +394,8 @@ def det_permutation_test(
         logger.warning("singular tables flagged: %s", ", ".join(singular))
     summary: dict = {"n_singular": len(singular)}
     details["singular_members"] = singular
-    if cal is not None:
-        offset = cal.log_abs_det
-        summary["raw_units_offset"] = -offset
-        details["raw_statistics"] = l_values - offset
+    summary["raw_units_offset"] = -IDEAL_SPAM_LOG_DET
+    details["raw_statistics"] = l_values - IDEAL_SPAM_LOG_DET
     return _spread_report("PermDet", tables, l_values, null, "bootstrap", resamples, summary,
                           details)
 
@@ -586,7 +505,7 @@ def cyclic_fidelity_test(
     if ill:  # a sampled reference gives no statistic, observed or null
         details["inconclusive_reason"] = ill
         fid_all = np.full((len(tables), n), np.nan)
-        null, method = (range(len(tables)), lambda j: math.nan), "none"
+        method = "none"
     else:
         entries = np.stack([t.entries for t in tables])
         fid_all = _fidelities_observed(entries, p0_entries, n)
@@ -629,11 +548,10 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
 def repetition_test(
     tables: list[ProbabilityTable],
     m_values,
-    cal: CalibrationMatrices,
     resamples: int = 500,
     seed: int = 0,
 ) -> TestReport:
-    """Linearity test of ``L_m = log|det S_raw(m)|`` against the count ``m``.
+    """Linearity test of ``L_m = log|det P(m)| - IDEAL_SPAM_LOG_DET`` against the count ``m``.
 
     A context-independent repeated block makes ``L_m`` exactly affine in
     ``m``: the slope estimates ``log|det G_block|`` and the intercept the SPAM
@@ -647,14 +565,13 @@ def repetition_test(
         raise ValueError("need at least 4 repetition counts to judge linearity")
 
     labels = [t.label for t in tables]
-    offset = cal.log_abs_det
     details: dict = {"m_values": m_values}
     l_values, null = _log_dets(tables, resamples, seed, details)
     boots = None
     if null is not None:
         order, draw = null
         boots = np.array([draw(j) for j in order])
-    l_values = l_values - offset
+    l_values = l_values - IDEAL_SPAM_LOG_DET
     good = np.isfinite(l_values)
     if not good.all():
         logger.warning(
@@ -666,7 +583,7 @@ def repetition_test(
     if boots is None:
         weights = np.ones(good.sum())
     else:
-        boots -= offset
+        boots -= IDEAL_SPAM_LOG_DET
         # -inf draws give a NaN sigma.  Draws that all equal the table have
         # zero sigma, which std() can miss by a rounding error in the mean.
         # Either weight is non-finite, handled below.

@@ -81,16 +81,16 @@ def _simulate(cfg: RunConfig, family, model) -> tuple[list, experiment.Probabili
     return tables, p0
 
 
-def _family_reports(cfg: RunConfig, family, tables, p0, cal) -> list[analysis.TestReport]:
+def _family_reports(cfg: RunConfig, family, tables, p0) -> list[analysis.TestReport]:
     """Run the family's tests; return their reports."""
     from . import analysis
 
     boot = {"resamples": cfg.bootstrap_resamples, "seed": cfg.seed}
     if family.kind == "permutation":
-        return [analysis.det_permutation_test(tables, cal, **boot)]
+        return [analysis.det_permutation_test(tables, **boot)]
     if family.kind == "cyclic":
         return [analysis.cyclic_fidelity_test(tables, p0, r=cfg.cyclic_order, **boot)]
-    report = analysis.repetition_test(tables, family.m_values, cal, **boot)
+    report = analysis.repetition_test(tables, family.m_values, **boot)
     witness = analysis.cp_witness(family.m_values, report.statistics, report.ci_low, report.ci_high)
     return [report, witness]
 
@@ -199,7 +199,6 @@ def run_scenario(cfg: RunConfig) -> int:
     """
     from . import analysis
 
-    cal = analysis.ideal_calibration()
     families = cfg.families()
     any_dependent = False
     writer = _Writer()
@@ -218,7 +217,7 @@ def run_scenario(cfg: RunConfig) -> int:
                 t2 = time.perf_counter()
                 writer.write(_emit_tables, tables if p0 is None else [*tables, p0],
                              os.path.join(phi_dir, "tables"))
-                reports = _family_reports(cfg, family, tables, p0, cal)
+                reports = _family_reports(cfg, family, tables, p0)
                 t3 = time.perf_counter()
                 writer.write(_emit_reports, family, reports, phi, phi_dir)
                 stage_s["tables"] += t2 - t1

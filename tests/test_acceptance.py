@@ -22,7 +22,6 @@ from ctxdep import (
     cyclic_fidelity_test,
     det_permutation_test,
     distort_spam,
-    ideal_calibration,
     log_abs_det,
     pauli_basis,
     permutation_family,
@@ -69,7 +68,7 @@ def fig2a_tables(phi):
 
 @pytest.fixture(scope="module")
 def fig2a_phi0_report():
-    return det_permutation_test(fig2a_tables(0.0), ideal_calibration())
+    return det_permutation_test(fig2a_tables(0.0))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +79,7 @@ def phi0_model():
 def test_criterion_1_fig2a_null(fig2a_phi0_report):
     start = time.perf_counter()
     tables = fig2a_tables(0.0)
-    report = det_permutation_test(tables, ideal_calibration())
+    report = det_permutation_test(tables)
     elapsed = time.perf_counter() - start
     spread = report.summary["spread"]
     ok = spread < 1e-9 and elapsed < 60.0 and report.verdict is Verdict.CONTEXT_INDEPENDENT
@@ -123,13 +122,12 @@ def test_criterion_3_fig2b_cyclic():
 
 
 def test_criterion_4_fig3b_slopes(phi0_model):
-    cal = ideal_calibration()
     m_values = tuple(range(0, 251, 25))
     results = {}
     for name, block in (("X_pi", [GATE_X_PI]), ("X_piY_pi", [GATE_X_PI, GATE_Y_PI])):
         family = repetition_family(block, m_values)
         tables = [prob_table(s, phi0_model) for s in family.members]
-        report = repetition_test(tables, m_values, cal)
+        report = repetition_test(tables, m_values)
         results[name] = report
     slope_single = results["X_pi"].summary["slope"]
     slope_double = results["X_piY_pi"].summary["slope"]

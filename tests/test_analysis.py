@@ -10,7 +10,7 @@ from ctxdep import (
     GATE_IDLE,
     GATE_X_PI,
     GATE_Y_PI,
-    IllConditioned,
+    IDEAL_GATE_SET,
     NotTracePreserving,
     ProbabilityTable,
     Sequence,
@@ -19,26 +19,26 @@ from ctxdep import (
     accessible_volume,
     bootstrap_ci,
     build_model,
-    calibration_from_states_effects,
     cp_witness,
     cyclic_family,
     cyclic_fidelity_test,
     det_permutation_test,
     distort_spam,
     family_tables,
-    ideal_calibration,
+    gate_unitary,
     log_abs_det,
     pauli_basis,
     permutation_family,
     prob_table,
     ptm_of_map,
-    raw_estimate,
     repetition_family,
     repetition_test,
     sample_table,
     trace_powers,
     unitarity_tilde,
     unitarity_u,
+    vectorize_effect,
+    vectorize_state,
 )
 
 from ctxdep import analysis
@@ -109,6 +109,31 @@ def exact_fidelities(entries, p0_entries, r_max):
     return traces
 
 
+def ideal_spam_matrices():
+    """Nominal effect (B) and preparation (C) coordinates of the ideal single-qubit set.
+
+    Preparations are the ideal gates applied to |0>, effects the ideal gate
+    adjoints applied to |1><1|; ``b[:, k]`` and ``c[:, i]`` are their Pauli
+    coordinates, so a table with ideal SPAM is ``P = B^T S C``.
+    """
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    proj1 = np.diag([0.0, 1.0]).astype(complex)
+    b, c = [], []
+    for gate in IDEAL_GATE_SET:
+        u = gate_unitary(gate)
+        psi = u @ ket0
+        c.append(vectorize_state(np.outer(psi, psi.conj()), BASIS1))
+        b.append(vectorize_effect(u.conj().T @ proj1 @ u, BASIS1))
+    return np.column_stack(b), np.column_stack(c)
+
+
+def raw_transfer_matrix(table):
+    """Uncorrected estimate ``(B^-1)^T P C^-1`` of a table, through linear solves."""
+    b, c = ideal_spam_matrices()
+    x = np.linalg.solve(b.T, table.entries)
+    return np.linalg.solve(c.T, x.T).T
+
+
 def random_spam_distortion(rng, cond):
     """Random invertible 4x4 with the requested condition number."""
     q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
@@ -119,7 +144,7 @@ def random_spam_distortion(rng, cond):
 
 class TestIdealCalibration:
     def test_frozen_matrices(self):
-        cal = ideal_calibration()
+        b, c = ideal_spam_matrices()
         root2 = np.sqrt(2.0)
         expected_c = (
             np.array(
@@ -143,48 +168,32 @@ class TestIdealCalibration:
             )
             / root2
         )
-        np.testing.assert_allclose(cal.c, expected_c, atol=1e-12)
-        np.testing.assert_allclose(cal.b, expected_b, atol=1e-12)
+        np.testing.assert_allclose(c, expected_c, atol=1e-12)
+        np.testing.assert_allclose(b, expected_b, atol=1e-12)
 
-    def test_well_conditioned(self):
-        cal = ideal_calibration()
-        assert cal.cond_b < 10.0
-        assert cal.cond_c < 10.0
-        assert cal.cond_b == np.linalg.cond(cal.b, 1)  # 1-norm: no SVD
-
-    def test_refuses_incomplete_set(self):
-        ket0 = np.array([1.0, 0.0], dtype=complex)
-        rho = np.outer(ket0, ket0.conj())
-        with pytest.raises(IllConditioned):
-            calibration_from_states_effects([rho] * 3, [rho] * 3)
-
-    def test_refuses_rank_deficient_set(self):
-        ket0 = np.array([1.0, 0.0], dtype=complex)
-        rho = np.outer(ket0, ket0.conj())
-        with pytest.raises(IllConditioned):
-            calibration_from_states_effects([rho] * 4, [rho] * 4)
+    def test_log_det_constant(self):
+        # the shift into raw-estimate units is this set's log|det B| + log|det C|
+        # (-log 4 up to rounding), bit for bit under the SkylakeX, Haswell and Prescott kernels
+        b, c = ideal_spam_matrices()
+        assert log_abs_det(b) + log_abs_det(c) == analysis.IDEAL_SPAM_LOG_DET
 
 
 class TestRawEstimate:
     def test_ideal_x_pi(self):
-        model = ideal_model()
-        cal = ideal_calibration()
-        est = raw_estimate(prob_table(seq("x", GATE_X_PI), model), cal)
+        est = raw_transfer_matrix(prob_table(seq("x", GATE_X_PI), ideal_model()))
         np.testing.assert_allclose(
             est, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-9
         )
 
     def test_ideal_empty_sequence(self):
-        model = ideal_model()
-        cal = ideal_calibration()
-        est = raw_estimate(prob_table(seq("ref"), model), cal)
+        est = raw_transfer_matrix(prob_table(seq("ref"), ideal_model()))
         np.testing.assert_allclose(est, np.eye(4), atol=1e-9)
 
 
 class TestDetPermutationTest:
     def test_exact_null_case(self, baseline_model):
         tables = family_tables(permutation_family(GATE_IDLE, GATE_X_PI, 10), baseline_model)
-        report = det_permutation_test(tables, ideal_calibration())
+        report = det_permutation_test(tables)
         assert report.summary["spread"] < 1e-9
         assert report.verdict is Verdict.CONTEXT_INDEPENDENT
         # raw-unit statistics differ from data-domain ones by a constant
@@ -352,7 +361,9 @@ class TestCyclicFidelityTest:
             "reference table condition number "
         )
         assert np.isnan(report.statistics).all() and np.isnan(report.threshold)
-        assert report.details["null"]["non_finite_frac"] == 1.0
+        # no null is drawn, so the member intervals are NaN too
+        assert report.details["null"] == {"method": "none", "draws": 0, "non_finite_frac": 0.0}
+        assert np.isnan(report.ci_low).all() and np.isnan(report.ci_high).all()
 
     def test_zero_width_null_is_inconclusive(self):
         tables = [one_shot(EYE, "a"), one_shot(CYCLE, "b")]
@@ -577,10 +588,8 @@ class TestNoiseAmplification:
         return np.linalg.norm(np.linalg.inv(table.entries)) * np.linalg.norm(sd)
 
     def test_log_det_tests_report_the_largest_member(self, baseline_model):
-        cal = ideal_calibration()
         family = repetition_family([GATE_X_PI], [0, 2, 4, 6])
-        for test, args in ((det_permutation_test, (cal,)),
-                           (repetition_test, (family.m_values, cal))):
+        for test, args in ((det_permutation_test, ()), (repetition_test, (family.m_values,))):
             exact = test(family_tables(family, baseline_model), *args)
             assert "noise_amplification" not in exact.details
             tables = family_tables(family, baseline_model, shots=1000, seed=4)
@@ -730,15 +739,14 @@ class TestRepetitionTest:
     def test_exact_slope_matches_rates(self, baseline_model, block):
         family = repetition_family(block, range(0, 81, 10))
         tables = family_tables(family, baseline_model)
-        report = repetition_test(tables, family.m_values, ideal_calibration())
+        report = repetition_test(tables, family.m_values)
         assert report.verdict is Verdict.CONTEXT_INDEPENDENT
         assert report.summary["slope"] == pytest.approx(
             -2.0 * T_GATE * GAMMA_SUM, rel=1e-6
         )
         assert report.summary["residual_norm"] < 1e-8
         # intercept picks up the SPAM-only contribution
-        p0 = prob_table(seq("ref"), baseline_model)
-        raw0 = raw_estimate(p0, ideal_calibration())
+        raw0 = raw_transfer_matrix(prob_table(seq("ref"), baseline_model))
         assert report.summary["intercept"] == pytest.approx(
             log_abs_det(raw0), rel=1e-9
         )
@@ -747,7 +755,7 @@ class TestRepetitionTest:
         model = ideal_model()
         family = repetition_family([GATE_X_PI], [0, 2, 4, 6])
         tables = family_tables(family, model)
-        report = repetition_test(tables, family.m_values, ideal_calibration())
+        report = repetition_test(tables, family.m_values)
         assert abs(report.summary["slope"]) < 1e-12
         assert report.summary["residual_norm"] < 1e-10
 
@@ -755,16 +763,14 @@ class TestRepetitionTest:
         model = build_model(make_params(phi=0.02))
         family = repetition_family([GATE_IDLE], range(0, 201, 25))
         tables = family_tables(family, model)
-        report = repetition_test(tables, family.m_values, ideal_calibration())
+        report = repetition_test(tables, family.m_values)
         assert report.verdict is Verdict.CONTEXT_DEPENDENT
         assert report.summary["residual_norm"] > 1e-3
 
     def test_finite_shots_null(self, baseline_model):
         family = repetition_family([GATE_X_PI], range(0, 61, 10))
         tables = family_tables(family, baseline_model, shots=10**5, seed=5)
-        report = repetition_test(
-            tables, family.m_values, ideal_calibration(), resamples=300, seed=5
-        )
+        report = repetition_test(tables, family.m_values, resamples=300, seed=5)
         assert report.verdict is Verdict.CONTEXT_INDEPENDENT
         assert report.summary["p_value"] > 0.05
         # the true slope sits inside a few stderr of the fit
@@ -780,7 +786,7 @@ class TestRepetitionTest:
         (family,) = cfg.families()
         tables = family_tables(family, build_model(cfg.noise_params(0.02)), shots=cfg.shots,
                                seed=cfg.seed)
-        report = repetition_test(tables, family.m_values, ideal_calibration(),
+        report = repetition_test(tables, family.m_values,
                                  resamples=cfg.bootstrap_resamples, seed=cfg.seed)
         assert report.summary["chi2"] > report.threshold
         assert report.summary["p_value"] == 1 / 501
@@ -789,7 +795,7 @@ class TestRepetitionTest:
         family = repetition_family([GATE_X_PI], [0, 1, 2])
         tables = family_tables(family, baseline_model)
         with pytest.raises(ValueError):
-            repetition_test(tables, family.m_values, ideal_calibration())
+            repetition_test(tables, family.m_values)
 
     def test_non_finite_weight_is_inconclusive(self, baseline_model):
         # at 10 shots some resampled tables are singular; their -inf log-dets
@@ -797,9 +803,7 @@ class TestRepetitionTest:
         # in an unconverged least-squares fit
         family = repetition_family([GATE_IDLE], [0, 200, 400, 600])
         tables = family_tables(family, baseline_model, shots=10, seed=0)
-        report = repetition_test(
-            tables, family.m_values, ideal_calibration(), resamples=100, seed=0
-        )
+        report = repetition_test(tables, family.m_values, resamples=100, seed=0)
         # the members named are those with a -inf bootstrap log-det
         expected = [
             t.label for t in tables if np.isinf(log_abs_det_many(resample_cells(t, 100, 0))).any()
@@ -816,7 +820,7 @@ class TestRepetitionTest:
         # single-shot 0/1 tables resample to themselves: sigma is 0 and the
         # weight infinite, which used to be clamped to 1e24 and fitted
         tables = [one_shot(m, f"m{k}") for k, m in enumerate([EYE, TWO, EYE, TWO])]
-        report = repetition_test(tables, [0, 1, 2, 3], ideal_calibration(), resamples=100)
+        report = repetition_test(tables, [0, 1, 2, 3], resamples=100)
         assert report.verdict is Verdict.INCONCLUSIVE
         reason = report.details["inconclusive_reason"]
         assert reason == "non-finite bootstrap weight for m0, m1, m2, m3"
@@ -831,8 +835,7 @@ class TestRepetitionTest:
         flat = np.full((4, 4), 0.25)  # rank 1: log|det| = -inf
         tables = [ProbabilityTable(t.entries if j in finite else flat, shots, t.label)
                   for j, t in enumerate(family_tables(family, baseline_model))]
-        report = repetition_test(tables, family.m_values, ideal_calibration(), resamples=200,
-                                 seed=1)
+        report = repetition_test(tables, family.m_values, resamples=200, seed=1)
         assert report.summary["n_excluded"] == 4 - len(finite)
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.details["inconclusive_reason"] == (
@@ -867,8 +870,7 @@ class TestRepetitionTest:
         """The one-call null agrees with one weighted fit per bootstrap draw."""
         family = repetition_family([GATE_X_PI], range(0, 61, 10))
         tables = family_tables(family, baseline_model, shots=10**5, seed=5)
-        cal = ideal_calibration()
-        report = repetition_test(tables, family.m_values, cal, resamples=200, seed=5)
+        report = repetition_test(tables, family.m_values, resamples=200, seed=5)
 
         def line_fit(x, y, w):
             sw = np.sqrt(w)
@@ -877,10 +879,10 @@ class TestRepetitionTest:
             return coef, np.sum(w * (y - design @ coef) ** 2)
 
         x = np.asarray(family.m_values, dtype=float)
-        y = np.array([log_abs_det(t.entries) for t in tables]) - cal.log_abs_det
+        y = np.array([log_abs_det(t.entries) for t in tables]) - analysis.IDEAL_SPAM_LOG_DET
         boots = np.stack(
             [log_abs_det_many(resample_cells(t, 200, 5)) for t in tables]
-        ) - cal.log_abs_det
+        ) - analysis.IDEAL_SPAM_LOG_DET
         w = 1.0 / boots.std(axis=1, ddof=1) ** 2
         (slope, intercept), chi2 = line_fit(x, y, w)
         centered = boots - boots.mean(axis=1, keepdims=True)
@@ -903,7 +905,7 @@ class TestRepetitionTest:
         # sampled fig3a: repeated idles at 1e5 shots
         (family,) = parse_config("scenario = fig3a").families()
         tables = family_tables(family, build_model(make_params(phi=phi)), shots=10**5, seed=1)
-        report = repetition_test(tables, family.m_values, ideal_calibration(), resamples=200)
+        report = repetition_test(tables, family.m_values, resamples=200)
         chi2, thr95, thr99 = (report.summary[k] for k in ("chi2", "threshold95", "threshold99"))
         assert thr95 <= thr99 == report.threshold
         if chi2 > thr99:
@@ -929,8 +931,7 @@ class TestRepetitionTest:
         distorted = distort_spam(model, random_spam_distortion(rng, cond=100.0),
                                  random_spam_distortion(rng, cond=100.0))
         for m in (model, distorted):
-            report = repetition_test(family_tables(family, m), family.m_values,
-                                     ideal_calibration())
+            report = repetition_test(family_tables(family, m), family.m_values)
             volume, unitarity = (report.summary[k] for k in ("volume_ratio", "unitarity_tilde"))
             assert volume == pytest.approx(expected, rel=1e-12, abs=0)
             assert unitarity == pytest.approx(volume ** (2 / 3), rel=1e-12, abs=0)
@@ -939,7 +940,7 @@ class TestRepetitionTest:
         family = repetition_family([GATE_X_PI], [0, 1, 2, 3, 4])
         tables = family_tables(family, baseline_model)
         tables[2] = ProbabilityTable(np.zeros((4, 4)), None, tables[2].label)
-        report = repetition_test(tables, family.m_values, ideal_calibration())
+        report = repetition_test(tables, family.m_values)
         assert report.summary["n_excluded"] == 1
         assert report.summary["residual_norm"] < 1e-8
 
@@ -951,7 +952,7 @@ class TestRepetitionTest:
                   for m in range(4)]
         dead = [ProbabilityTable(np.zeros((4, 4)), None, f"d{m}") for m in range(2)]
         for tables in (rising, rising[:2] + dead):
-            doc = repetition_test(tables, range(4), ideal_calibration()).to_dict()
+            doc = repetition_test(tables, range(4)).to_dict()
             assert doc["summary"]["volume_ratio"] is doc["summary"]["unitarity_tilde"] is None
             assert {"summary.volume_ratio", "summary.unitarity_tilde"} <= set(
                 doc["details"]["non_finite"])
@@ -1281,7 +1282,7 @@ class TestReportSerialization:
 
         family = permutation_family(GATE_IDLE, GATE_X_PI, 4)
         tables = family_tables(family, baseline_model, shots=10**4, seed=13)
-        report = det_permutation_test(tables, ideal_calibration(), resamples=150, seed=13)
+        report = det_permutation_test(tables, resamples=150, seed=13)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["kind"] == "PermDet"
         assert payload["verdict"] in {v.value for v in Verdict}

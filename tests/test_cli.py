@@ -549,14 +549,13 @@ class TestMain:
         assert (out / "phi_0" / "tables" / "reference.csv").exists()
 
     def test_ill_conditioned_reference_names_no_null(self, tmp_path, capsys):
-        # an ill-conditioned sampled reference draws no null, delta or other:
-        # its null placeholders are all NaN
+        # an ill-conditioned sampled reference draws no null, delta or other
         assert main(["run", "--scenario", "fig2b", "--shots", "1", "--out", str(tmp_path)]) == 0
         reports = [json.loads(p.read_text()) for p in tmp_path.rglob("report_cyclicfid.json")]
         assert len(reports) == 3
         for report in reports:
-            assert report["details"]["null"] == {"method": "none", "draws": 500,
-                                                 "non_finite_frac": 1.0}
+            assert report["details"]["null"] == {"method": "none", "draws": 0,
+                                                 "non_finite_frac": 0.0}
 
     def test_single_shot_witness_is_inconclusive(self, tmp_path, capsys):
         # at 1 shot the witness intervals have zero width; at seed 2 the 0/1
@@ -804,12 +803,11 @@ class TestArtifactWriter:
         # _emit_reports does, their reports must be the files that the run writes
         cfg = parse_config(self.PINNED[name][0] + f'output_dir = "{tmp_path}"\n')
         run_scenario(cfg)
-        cal = analysis.ideal_calibration()
         written = []
         for phi in cfg.resolved_phi_values():
             model = build_model(cfg.noise_params(phi))
             for family in cfg.families():
-                for report in _family_reports(cfg, family, *_simulate(cfg, family, model), cal):
+                for report in _family_reports(cfg, family, *_simulate(cfg, family, model)):
                     text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
                     file_name = f"report_{_report_name(family, report)}.json"
                     path = tmp_path / _phi_dir_name(phi) / file_name
