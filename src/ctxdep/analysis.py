@@ -200,6 +200,12 @@ def _percentiles(values: np.ndarray, q) -> np.ndarray:
     return out
 
 
+def _check_resamples(resamples: int) -> None:
+    """Refuse a null of fewer than 100 draws, too few to resolve its 1% tail."""
+    if resamples < 100:
+        raise ValueError("resamples must be >= 100")
+
+
 def _verdict(observed: float, thr95: float, thr99: float, details: dict) -> Verdict:
     """Three-way verdict of a statistic against its null's 95%/99% thresholds.
 
@@ -270,9 +276,14 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
 
 
 def _cell_sd(tables) -> np.ndarray:
-    """Binomial standard deviation of every cell's frequency; 0 in an exact table."""
+    """Binomial standard deviation of every cell's frequency; 0 in an exact table.
+
+    A sampled cell's ``p`` is clipped to ``[1/(N+1), N/(N+1)]``: a count of 0 or
+    ``N`` says that ``p`` is near the edge, not that the cell has no noise.
+    """
     shots = np.array([np.inf if t.is_exact else t.shots for t in tables], dtype=float)
-    p = np.clip(np.stack([t.entries for t in tables]), 0.0, 1.0)
+    edge = (1.0 / (shots + 1.0))[:, None, None]  # 0 for an exact table
+    p = np.clip(np.stack([t.entries for t in tables]), edge, 1.0 - edge)
     return np.sqrt(p * (1.0 - p) / shots[:, None, None])
 
 
@@ -387,6 +398,7 @@ def det_permutation_test(
     raw-estimate units by the constant ``IDEAL_SPAM_LOG_DET``.  The
     finite-shot null is the parametric bootstrap's.
     """
+    _check_resamples(resamples)
     details: dict = {}
     l_values, null = _log_dets(tables, resamples, seed, details)
     singular = [t.label for t, v in zip(tables, l_values) if not np.isfinite(v)]
@@ -479,6 +491,7 @@ def cyclic_fidelity_test(
     :func:`_linear_size` settles that rule, and is reported as
     ``details["noise_amplification"]``.
     """
+    _check_resamples(resamples)
     p0_entries = np.asarray(p0.entries, dtype=float)
     n = p0_entries.shape[0]
     cond = float(_cond(p0_entries))
@@ -558,6 +571,7 @@ def repetition_test(
     contribution.  Curvature beyond the shot-noise scale is evidence of
     context dependence.
     """
+    _check_resamples(resamples)
     m_values = np.asarray(list(m_values), dtype=float)
     if len(tables) != len(m_values):
         raise ValueError("one table per m value required")
@@ -707,6 +721,8 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     l_values = np.asarray(l_values, dtype=float)
     if len(m_values) < 2:
         raise ValueError("need at least 2 points")
+    if any(len(v) != len(m_values) for v in (l_values, ci_low, ci_high) if v is not None):
+        raise ValueError("one log-det and interval bound per m value required")
     finite = np.isfinite(l_values)
     pairs = np.flatnonzero(finite[:-1] & finite[1:])  # j with members j and j + 1 finite
     rise = l_values[pairs + 1] - l_values[pairs]
@@ -755,8 +771,7 @@ def bootstrap_ci(
     ``-inf`` draws can give a NaN bound.  Exact tables yield a degenerate
     interval at the exact value.
     """
-    if resamples < 100:
-        raise ValueError("resamples must be >= 100")
+    _check_resamples(resamples)
     if table.is_exact:
         value = float(statistic(table))
         return value, value

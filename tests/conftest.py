@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
-from ctxdep import NoiseParams
+from ctxdep import NoiseParams, Sequence
 
 # Headline simulation parameters: T1 = 60 us, thermal excitation fixed by the
 # stationarity condition p = g1/(g1+g3), dephasing at g1/2, 20 ns gates.
@@ -27,6 +26,18 @@ def make_params(phi=0.0, **overrides) -> NoiseParams:
     )
     kwargs.update(overrides)
     return NoiseParams(**kwargs)
+
+
+def seq(label, *gates):
+    return Sequence(gates=tuple(gates), label=label)
+
+
+def random_spam_distortion(rng, cond):
+    """Random invertible 4x4 with the requested condition number."""
+    q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    svals = np.geomspace(1.0, cond, 4) / np.sqrt(cond)
+    return q1 @ np.diag(svals) @ q2
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -74,8 +85,9 @@ def integrate_master_equation(rho0, hamiltonian, jumps, duration=1.0):
 
     Independent of every transfer-matrix code path (no operator basis, no
     matrix exponential); plain dense ODE integration of the d x d density
-    matrix over [0, duration].
+    matrix over [0, duration].  It needs scipy, and skips the test without it.
     """
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     dim = rho0.shape[0]
 
     def rhs(_t, flat):

@@ -48,6 +48,7 @@ from .conftest import (
     model_jump_operators,
     random_density_matrix,
     random_kraus_channel,
+    random_spam_distortion,
 )
 
 SEED = 12345
@@ -162,13 +163,6 @@ def test_criterion_5_fig3a_cp_witness():
         ok,
         f"fig3a rises per phi: {flagged} (phi=0 clean, non-monotone at order 1e-2)",
     )
-
-
-def random_spam_distortion(rng, cond):
-    q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    svals = np.geomspace(1.0, cond, 4) / np.sqrt(cond)
-    return q1 @ np.diag(svals) @ q2
 
 
 def test_criterion_6_spam_robustness(phi0_model):

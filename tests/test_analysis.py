@@ -13,7 +13,6 @@ from ctxdep import (
     IDEAL_GATE_SET,
     NotTracePreserving,
     ProbabilityTable,
-    Sequence,
     SingularReference,
     Verdict,
     accessible_volume,
@@ -55,13 +54,11 @@ from .conftest import (
     apply_kraus,
     make_params,
     random_kraus_channel,
+    random_spam_distortion,
+    seq,
 )
 
 BASIS1 = pauli_basis(1)
-
-
-def seq(label, *gates):
-    return Sequence(gates=tuple(gates), label=label)
 
 
 def ideal_model():
@@ -132,14 +129,6 @@ def raw_transfer_matrix(table):
     b, c = ideal_spam_matrices()
     x = np.linalg.solve(b.T, table.entries)
     return np.linalg.solve(c.T, x.T).T
-
-
-def random_spam_distortion(rng, cond):
-    """Random invertible 4x4 with the requested condition number."""
-    q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    svals = np.geomspace(1.0, cond, 4) / np.sqrt(cond)
-    return q1 @ np.diag(svals) @ q2
 
 
 class TestIdealCalibration:
@@ -366,11 +355,13 @@ class TestCyclicFidelityTest:
         assert np.isnan(report.ci_low).all() and np.isnan(report.ci_high).all()
 
     def test_zero_width_null_is_inconclusive(self):
+        # the 1-shot reference's floored cell sd sends it to the bootstrap, whose
+        # resamples of 0/1 tables all equal their tables
         tables = [one_shot(EYE, "a"), one_shot(CYCLE, "b")]
         report = cyclic_fidelity_test(tables, one_shot(EYE, "ref"), r=2, resamples=100)
         assert report.summary["spread"] == 0.75
         assert report.verdict is Verdict.INCONCLUSIVE
-        assert report.details["inconclusive_reason"].startswith("zero-width delta null")
+        assert report.details["inconclusive_reason"].startswith("zero-width bootstrap null")
 
     def test_rejects_bad_order(self, baseline_model):
         p0 = prob_table(seq("ref"), baseline_model)
@@ -427,11 +418,12 @@ class TestCyclicFidelityTest:
 
     @pytest.mark.parametrize("shots,method", [(1, "bootstrap"), (4, "bootstrap"), (5, "delta")])
     def test_noisy_reference_takes_the_bootstrap(self, baseline_model, shots, method):
-        # 0.5 I: ||P0^-1||_2 ||sd(P0)||_F = 2 * 2 sqrt(0.25 / shots), which
-        # reaches the bound 1 at 4 shots and is 0.894 at 5
+        # 0.75 I: ||P0^-1||_2 ||sd(P0)||_F = (4/3) sqrt(0.75 / N + 12 / (N + 1)^2),
+        # with p = 1/(N + 1) in the 12 zero cells, which is 1.089 at 4 shots and
+        # 0.927 at 5
         tables = [prob_table(seq(lbl, GATE_X_PI, *g), baseline_model)
                   for lbl, g in (("x", ()), ("xi", (GATE_IDLE,)))]
-        p0 = ProbabilityTable(np.eye(4) * 0.5, shots, "ref")
+        p0 = ProbabilityTable(np.eye(4) * 0.75, shots, "ref")
         report = cyclic_fidelity_test(tables, p0, r=2, resamples=100, seed=3)
         assert report.details["null"]["method"] == method
 
@@ -606,6 +598,18 @@ class TestNoiseAmplification:
         p0 = sample_table(prob_table(seq("ref"), baseline_model), 1000, seed=4)
         report = cyclic_fidelity_test(tables, p0, resamples=100, seed=4)
         assert report.details["noise_amplification"] == pytest.approx(self.size(p0), rel=1e-12)
+
+    def test_cells_at_0_or_n_keep_a_floored_sd(self):
+        # a count of 0 or N clips p to 1/(N+1) or N/(N+1); an exact table has no noise
+        entries = np.array([[0.0, 0.5], [1.0, 0.5]])
+        sd = analysis._cell_sd([ProbabilityTable(entries, 10, "a"),
+                                 ProbabilityTable(entries, None, "b")])
+        np.testing.assert_allclose(sd[0], np.sqrt([[1 / 121, 0.025], [1 / 121, 0.025]]),
+                                   rtol=1e-15)
+        assert not sd[1].any()
+        # two 1-shot permutation matrices: sd 0.5 in every cell and ||P^-1||_F = 2
+        report = det_permutation_test([one_shot(EYE, "a"), one_shot(CYCLE, "b")], resamples=100)
+        assert report.details["noise_amplification"] == 4.0
 
     def test_singular_member_gives_inf(self):
         report = det_permutation_test([one_shot(EYE, "a"), one_shot(np.ones((4, 4)), "b")],
@@ -1147,6 +1151,19 @@ class TestCpWitness:
         with pytest.raises(ValueError):
             cp_witness([0], [1.0])
 
+    @pytest.mark.parametrize(
+        "m_values,l_values,low,high",
+        [([0, 1, 2], [1.0, 0.5], None, None),
+         ([0, 1], [1.0, 0.5, 0.2], None, None),
+         ([0, 1, 2], [1.0, 0.5, 0.2], [0.9, 0.4], [1.1, 0.6, 0.3])],
+        ids=["short-series", "long-series", "short-interval"],
+    )
+    def test_series_of_different_lengths_are_refused(self, m_values, l_values, low, high):
+        # a short series used to give a report whose to_dict() raised IndexError,
+        # and a long one to drop its last member from the report
+        with pytest.raises(ValueError, match="per m value"):
+            cp_witness(m_values, l_values, low, high)
+
 
 class TestPercentiles:
     """``_percentiles`` must reproduce ``np.percentile`` byte for byte."""
@@ -1221,6 +1238,25 @@ class TestBootstrapCi:
         table = prob_table(seq("x", GATE_X_PI), baseline_model)
         with pytest.raises(ValueError):
             bootstrap_ci(lambda t: 0.0, table, resamples=10, seed=0)
+
+
+@pytest.mark.parametrize("resamples", [0, 1, 99])
+@pytest.mark.parametrize(
+    "test", ["det_permutation_test", "cyclic_fidelity_test", "repetition_test", "bootstrap_ci"])
+def test_nulls_of_fewer_than_100_draws_are_refused(baseline_model, test, resamples):
+    # 0 draws used to end in an IndexError, 1 in a zero-width null or in a
+    # RuntimeWarning from a standard deviation of one draw
+    family = cyclic_family(seq("x_i3", GATE_X_PI, GATE_IDLE, GATE_IDLE, GATE_IDLE))
+    tables = family_tables(family, baseline_model, shots=1000, seed=4)
+    p0 = sample_table(prob_table(seq("ref"), baseline_model), 1000, seed=4)
+    calls = {
+        "det_permutation_test": lambda: det_permutation_test(tables, resamples=resamples),
+        "cyclic_fidelity_test": lambda: cyclic_fidelity_test(tables, p0, resamples=resamples),
+        "repetition_test": lambda: repetition_test(tables, range(4), resamples=resamples),
+        "bootstrap_ci": lambda: bootstrap_ci(lambda t: 0.0, p0, resamples=resamples),
+    }
+    with pytest.raises(ValueError, match="^resamples must be >= 100$"):
+        calls[test]()
 
 
 class TestSpamRobustness:

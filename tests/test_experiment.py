@@ -11,7 +11,6 @@ from ctxdep import (
     GATE_X_MINUS_HALF,
     GATE_X_PI,
     ProbabilityTable,
-    Sequence,
     SequenceFamily,
     build_model,
     cyclic_family,
@@ -30,11 +29,7 @@ from ctxdep import (
 from ctxdep.config import parse_config
 from ctxdep.experiment import resample_cells, substream, table_from_ptm
 
-from .conftest import GAMMA_SUM, T_GATE, make_params
-
-
-def seq(label, *gates):
-    return Sequence(gates=tuple(gates), label=label)
+from .conftest import GAMMA_SUM, T_GATE, make_params, seq
 
 
 class TestProbTable:
