@@ -58,7 +58,7 @@ logger = logging.getLogger(__name__)
 EXACT_SPREAD_TOL = 1e-9
 # Residual 2-norm below which an exact-table decay series counts as linear.
 LINEAR_RESIDUAL_TOL = 1e-8
-# Condition number beyond which an exact table counts as singular and a cyclic
+# Condition number beyond which a table counts as singular and a cyclic
 # reference cannot be inverted.  An LU log-det is off by about n cond eps, which
 # reaches the 1e-9 exact floor near cond 1e6.
 CONDITION_LIMIT = 1e6
@@ -254,20 +254,20 @@ def _report(kind, tables, stats, observed, thresholds, ci, summary, details) -> 
 def _log_dets(tables, resamples: int, seed: int, details: dict):
     """``log|det P|`` of the stacked member tables, in one ``slogdet`` call, and the
     null ``(order, draw)`` of their bootstrap log-dets, in table order (``None``
-    if all exact).  An exact member whose condition exceeds
-    ``CONDITION_LIMIT`` gets ``-inf``, as a singular one does, and
+    if all exact).  A member whose condition exceeds ``CONDITION_LIMIT``, exact
+    or sampled, gets ``-inf``, as a singular one does, and
     ``details["excluded_condition"]`` maps the label of each such member to its condition.
     Sampled members set ``details["noise_amplification"]``, the largest
     member's :func:`_linear_size`.
     """
     entries = np.stack([t.entries for t in tables])
     observed = log_abs_det_many(entries)
+    cond = _cond(entries)
+    observed[cond > CONDITION_LIMIT] = -np.inf  # roundoff, not a determinant
+    excluded = {t.label: c for t, c, v in zip(tables, cond, observed) if not np.isfinite(v)}
+    if excluded:
+        details["excluded_condition"] = excluded
     if all(t.is_exact for t in tables):
-        cond = _cond(entries)
-        observed[cond > CONDITION_LIMIT] = -np.inf  # roundoff, not a determinant
-        excluded = {t.label: c for t, c, v in zip(tables, cond, observed) if not np.isfinite(v)}
-        if excluded:
-            details["excluded_condition"] = excluded
         return observed, None
     sizes = _linear_size(_inverses(entries, np.isfinite(observed)), _cell_sd(tables))
     details["noise_amplification"] = float(sizes.max())
@@ -588,10 +588,8 @@ def repetition_test(
     l_values = l_values - IDEAL_SPAM_LOG_DET
     good = np.isfinite(l_values)
     if not good.all():
-        logger.warning(
-            "excluding singular members from fit: %s",
-            ", ".join(lbl for lbl, g in zip(labels, good) if not g),
-        )
+        logger.warning("excluding singular members from fit: %s",
+                       ", ".join(details["excluded_condition"]))
 
     ci_low = ci_high = None
     if boots is None:
@@ -721,6 +719,8 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     l_values = np.asarray(l_values, dtype=float)
     if len(m_values) < 2:
         raise ValueError("need at least 2 points")
+    if (ci_low is None) != (ci_high is None):
+        raise ValueError("give both interval bounds or neither")
     if any(len(v) != len(m_values) for v in (l_values, ci_low, ci_high) if v is not None):
         raise ValueError("one log-det and interval bound per m value required")
     finite = np.isfinite(l_values)

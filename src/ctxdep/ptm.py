@@ -126,7 +126,7 @@ def pauli_basis(num_qubits: int) -> OperatorBasis:
 
 def vectorize_state(rho: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Expansion coordinates ``Tr(P_m rho) / sqrt(d)`` of a density operator."""
-    coords = basis.vec_columns.conj().T @ np.ravel(rho)
+    coords = np.einsum("im,i->m", basis.vec_columns.conj(), np.ravel(rho))  # see _superop_to_ptm
     return coords.real / np.sqrt(basis.dim)
 
 
@@ -166,8 +166,12 @@ def _superop_to_ptm(superop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
 
     Entry ``(n, m)`` is ``Tr[P_n L(P_m)] / d``, checked for realness by :func:`_real_part`.
     """
+    # einsum sums in numpy's own loops, where a complex `@` pages in OpenBLAS's
+    # complex kernels, which nothing else in a run needs; two two-operand steps
+    # in the `@` chain's order (one three-operand einsum is O(d^8))
     v = basis.vec_columns
-    return _real_part(v.conj().T @ superop @ v / basis.dim)
+    vl = np.einsum("in,ij->nj", v.conj(), superop)
+    return _real_part(np.einsum("nj,jm->nm", vl, v) / basis.dim)
 
 
 def hamiltonian_generator(hamiltonian: np.ndarray, basis: OperatorBasis) -> np.ndarray:
@@ -216,7 +220,7 @@ def dissipator_generator(
     for q in range(num_qubits):
         for rate, local in ((gamma1, LOWERING), (gamma3, RAISING), (gamma_phi / 2.0, PAULI_Z)):
             a = _embed(local, q, num_qubits)
-            a_dag_a = a.conj().T @ a
+            a_dag_a = np.einsum("ki,kj->ij", a.conj(), a)  # see _superop_to_ptm
             anticommutator = np.kron(a_dag_a, eye) + np.kron(eye, a_dag_a.T)
             superop += rate * (np.kron(a, a.conj()) - 0.5 * anticommutator)
     return _superop_to_ptm(superop, basis)

@@ -296,6 +296,17 @@ class TestDetPermutationTest:
         assert report.details["excluded_condition"] == pytest.approx({"ill": 1e8})
         assert "excluded_condition" not in det_permutation_test([table, table]).details
 
+    def test_ill_conditioned_sampled_member_counts_as_singular(self, baseline_model):
+        # the same rule for count tables: an exactly singular one can get a finite
+        # roundoff log-det from LU, and a large condition says so on every kernel
+        entries = prob_table(seq("ok", GATE_X_PI), baseline_model).entries
+        table = ProbabilityTable(entries, 10**4, "ok")
+        ill = ProbabilityTable(np.diag([0.5, 0.5, 0.5, 0.5e-8]), 10**4, "ill")
+        report = det_permutation_test([table, ill, table], resamples=100)
+        assert report.details["singular_members"] == ["ill"]
+        assert report.details["excluded_condition"] == pytest.approx({"ill": 1e8})
+        assert report.details["noise_amplification"] == np.inf
+
 
 class TestCyclicFidelityTest:
     def test_exact_null_case(self, baseline_model):
@@ -1163,6 +1174,14 @@ class TestCpWitness:
         # and a long one to drop its last member from the report
         with pytest.raises(ValueError, match="per m value"):
             cp_witness(m_values, l_values, low, high)
+
+    @pytest.mark.parametrize("low,high", [([-0.1, -1.1, -0.6], None), (None, [0.1, -0.9, -0.4])],
+                             ids=["low-only", "high-only"])
+    def test_lone_interval_bound_is_refused(self, low, high):
+        # a lone low bound used to raise IndexError, and a lone high one to be
+        # ignored in favour of the exact floor
+        with pytest.raises(ValueError, match="both interval bounds or neither"):
+            cp_witness([0, 1, 2], [0.0, -1.0, -0.5], low, high)
 
 
 class TestPercentiles:

@@ -1008,20 +1008,38 @@ def test_sampled_run_keeps_a_loaded_numpy_random(tmp_path):
     assert _tree_digest(tmp_path / "preloaded") == _tree_digest(tmp_path / "fresh")
 
 
+# What a 10-shot run logs on every BLAS kernel: fig2a's perm082 at phi = 0.005 and
+# fig3a's I_m0500 at phi = 0.02 are count tables with a rational determinant of 0,
+# which OpenBLAS's SkylakeX LU gives a finite roundoff log-det; the condition limit
+# excludes them on every kernel
+TEN_SHOT_STDERR = {
+    "fig2a": ["WARNING ctxdep.analysis: singular tables flagged: perm082"],
+    "fig2b": [],
+    "fig3a": ["WARNING ctxdep.analysis: excluding singular members from fit: I_m0500"],
+}
+
+
 @pytest.mark.parametrize("scenario", ["fig2a", "fig2b", "fig3a"])
 def test_ten_shot_runs_raise_no_warning(tmp_path, scenario):
     # some bootstrap log-dets are -inf at 10 shots: their non-finite rows go
     # through the tests' own quantile helper, on the spread path (fig2a) and
     # the repetition path (fig3a); fig2b's reference is too noisy for the delta
-    # method, and its cyclic bootstrap has non-finite and singular reference draws;
-    # the one line allowed on stderr is kernel-dependent: fig2a's exactly singular
-    # perm082 at phi = 0.005 gives a zero LU pivot, flagged, on OpenBLAS's Haswell
-    # and Prescott kernels, and a finite roundoff log-det on SkylakeX
+    # method, and its cyclic bootstrap has non-finite and singular reference draws
     out = _python_child([*DEV_WARNINGS, "-m", "ctxdep.cli", "run", "--scenario", scenario,
                          "--shots", "10", "--out", str(tmp_path)])
-    other = [line for line in out.stderr.splitlines()
-             if not line.startswith("WARNING ctxdep.analysis: singular tables flagged: ")]
-    assert (out.returncode, other) == (0, [])
+    assert (out.returncode, out.stderr.splitlines()) == (0, TEN_SHOT_STDERR[scenario])
+
+
+@pytest.mark.parametrize("kernel", [{}, PINNED_KERNEL], ids=["default", "Prescott"])
+def test_singular_count_table_is_excluded_on_every_kernel(tmp_path, kernel):
+    # perm082's LU has a zero pivot on the Haswell and Prescott kernels and a
+    # pivot of roundoff size on SkylakeX; the report must not depend on which
+    out = _python_child(["-m", "ctxdep.cli", "run", "--scenario", "fig2a", "--shots", "10",
+                         "--out", str(tmp_path)], **kernel)
+    assert out.returncode == 0, out.stderr
+    report = json.loads((tmp_path / "phi_0.005" / "report_permdet.json").read_text())
+    assert report["details"]["singular_members"] == ["perm082"]
+    assert list(report["details"]["excluded_condition"]) == ["perm082"]
 
 
 THREADS_CHILD = """

@@ -17,7 +17,9 @@ from ctxdep import (
     ptm_of_map,
     trace_powers,
 )
-from ctxdep.ptm import PAULI_X, PAULI_Z, log_abs_det_many
+import ctxdep.ptm
+from ctxdep.ptm import (PAULI_X, PAULI_Z, _superop_to_ptm, log_abs_det_many, vectorize_effect,
+                        vectorize_state)
 
 from .conftest import (
     amplitude_damping_kraus,
@@ -25,12 +27,79 @@ from .conftest import (
     lindblad_action,
     make_params,
     model_jump_operators,
+    random_density_matrix,
     random_kraus_channel,
 )
 
 
 def conjugation(u):
     return lambda rho: u @ rho @ u.conj().T
+
+
+class RefusesComplexMatmul(np.ndarray):
+    """An array whose complex ``@`` raises, since numpy hands that product to
+    OpenBLAS's complex kernels; every other ufunc runs and keeps the class."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul and any(np.iscomplexobj(x) for x in plain):
+            raise AssertionError("complex matmul")
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(type(self)) if isinstance(result, np.ndarray) else result
+
+
+def refusing(array):
+    return np.asarray(array).view(RefusesComplexMatmul)
+
+
+class TestNoComplexBlas:
+    # a run's model build forms its transfer matrices without OpenBLAS's complex
+    # kernels, which would page in about 0.37 MB for a few 16x16 products
+
+    def test_refusing_array_refuses(self):
+        with pytest.raises(AssertionError, match="complex matmul"):
+            refusing(PAULI_X) @ PAULI_X
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_superop_conjugation(self, num_qubits):
+        basis = pauli_basis(num_qubits)
+        rng = np.random.default_rng(60 + num_qubits)
+        shape = (basis.dim, basis.dim)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h = a + a.conj().T
+        eye = np.eye(basis.dim)
+        superop = refusing(-1j * (np.kron(h, eye) - np.kron(eye, h.T)))
+        oracle = ptm_of_map(lambda rho: -1j * (h @ rho - rho @ h), basis)
+        np.testing.assert_allclose(_superop_to_ptm(superop, basis), oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_dissipator_jump_operators(self, num_qubits, monkeypatch):
+        expected = dissipator_generator(1.0, 0.2, 0.5, num_qubits)
+        for name in ("LOWERING", "RAISING", "PAULI_Z"):
+            monkeypatch.setattr(ctxdep.ptm, name, refusing(getattr(ctxdep.ptm, name)))
+        np.testing.assert_array_equal(dissipator_generator(1.0, 0.2, 0.5, num_qubits), expected)
+
+
+class TestVectorize:
+    # the coordinates against their definition Tr(P_m X) / sqrt(d), formed
+    # without a complex matmul (TestNoComplexBlas)
+    @staticmethod
+    def definition(operator, basis):
+        return np.array([np.trace(p @ operator).real for p in basis.elements]) / np.sqrt(basis.dim)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_states_and_effects(self, num_qubits):
+        basis = pauli_basis(num_qubits)
+        rng = np.random.default_rng(80 + num_qubits)
+        for _ in range(5):
+            rho = random_density_matrix(rng, basis.dim)
+            effect = np.eye(basis.dim) - random_density_matrix(rng, basis.dim)  # 0 <= E <= I
+            np.testing.assert_allclose(vectorize_state(refusing(rho), basis),
+                                       self.definition(rho, basis), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(vectorize_effect(refusing(effect), basis),
+                                       self.definition(effect, basis), rtol=0, atol=1e-15)
 
 
 class TestPauliBasis:
