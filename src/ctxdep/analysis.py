@@ -76,9 +76,11 @@ IDEAL_SPAM_LOG_DET = -1.3862943611198912
 NORM_MARGIN = 1e-6
 # Largest deviation from (1, 0, ..., 0) that unitarity_u accepts in a first row.
 TRACE_PRESERVING_TOL = 1e-8
-# Members per block of null draws: a spread test holds one (block x R) slice
-# of its null at a time, never the whole (members x R) matrix.
-NULL_BLOCK = 64
+# Bytes of float64 draws per block of a spread test's null: it holds one block
+# of whole members (at least one, so R draws), with a sorted copy, at a time,
+# never the whole (members x R) matrix.  64 KiB is 16 members at R = 500 and
+# keeps a block and its copy below glibc's default 128 KiB mmap threshold.
+NULL_BLOCK_BYTES = 64 * 1024
 
 
 class NotTracePreserving(ValueError):
@@ -335,7 +337,7 @@ def _spread_report(kind, tables, stats, null, method: str, resamples: int, summa
     against the ``EXACT_SPREAD_TOL`` floor for exact tables (``null`` is
     ``None``) and otherwise against the null that ``method`` made, a pair
     ``(order, draw)``: ``draw(j)`` gives member ``j``'s ``resamples`` draws,
-    made in ``order`` and held ``NULL_BLOCK`` members at a time.  Each block
+    made in ``order`` and held ``NULL_BLOCK_BYTES`` of draws at a time.  Each block
     gives its members' 95% intervals; its draws, centred per member to remove
     the observed member-to-member signal, update the running max and min over
     members of every draw, whose difference is the null spread.  Method
@@ -356,8 +358,9 @@ def _spread_report(kind, tables, stats, null, method: str, resamples: int, summa
         order, draw = null
         low, high = np.empty(len(tables)), np.empty(len(tables))
         top, bottom, non_finite = -np.inf, np.inf, 0
-        for start in range(0, len(order), NULL_BLOCK):
-            idx = order[start:start + NULL_BLOCK]
+        size = max(1, NULL_BLOCK_BYTES // (8 * resamples))  # whole members per block
+        for start in range(0, len(order), size):
+            idx = order[start:start + size]
             block = np.empty((len(idx), resamples))
             for row, j in zip(block, idx):
                 row[:] = draw(j)

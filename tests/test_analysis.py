@@ -719,11 +719,12 @@ def _traced_peak(fn) -> int:
 
 
 class TestNullMemory:
-    """The spread tests reduce their null one block of members at a time.
+    """The spread tests reduce their null one block of ``NULL_BLOCK_BYTES`` at a time.
 
     A (members x R) matrix of draws is 1 MB for 251 members and 2 MB for 501
     at R = 500; holding one, with a sorted copy, took the peaks to 2.1 and
-    4.3 MB.
+    4.3 MB.  Blocks of 64 members took them to 0.54 and 0.90 MB, and blocks
+    of 64 KiB (16 members) to 0.21 and 0.58 MB.
     """
 
     @staticmethod
@@ -741,12 +742,47 @@ class TestNullMemory:
             lambda: reports.append(cyclic_fidelity_test(tables, p0, r=2, resamples=500, seed=1))
         )
         assert reports[-1].details["null"]["method"] == "delta"
-        assert peak < 1.5e6  # 0.84 MB when written
+        assert peak < 1.5e6  # 0.84 MB when written, 0.58 MB with 64 KiB blocks
+
+    def test_cyclic_peak_at_large_r(self, baseline_model):
+        # one member's 20,000 draws exceed the byte budget, so a block holds
+        # one member: 3.8 MB, mostly the (16 x R) shared reference normals,
+        # where blocks of 64 members (a 10 MB block and its sorted copy) took 23.7 MB
+        tables = self._members(baseline_model, 501)
+        p0 = ProbabilityTable(prob_table(seq("ref"), baseline_model).entries, 10**5, "ref")
+        peak = _traced_peak(lambda: cyclic_fidelity_test(tables, p0, r=2, resamples=20_000,
+                                                         seed=1))
+        assert peak < 8e6
 
     def test_permutation_peak(self, baseline_model):
         tables = self._members(baseline_model, 251)
         peak = _traced_peak(lambda: det_permutation_test(tables, resamples=500, seed=1))
-        assert peak < 1.0e6  # 0.61 MB when written
+        assert peak < 1.0e6  # 0.61 MB when written, 0.21 MB with 64 KiB blocks
+
+    @pytest.mark.parametrize("test,method", [("permutation", "bootstrap"), ("cyclic", "delta"),
+                                             ("cyclic", "bootstrap")])
+    def test_block_size_changes_no_report(self, monkeypatch, baseline_model, test, method):
+        # intervals come from each member's own row, and the null spread from an
+        # exact running max and min of per-row centred draws, so blocks of one
+        # member, of 7 (an uneven split of 21) or of the whole family agree
+        tables = family_tables(cyclic_family(TestDeltaNull.X_I20), baseline_model,
+                               shots=10**4, seed=6)
+        resamples = 200
+        if test == "permutation":
+            def run():
+                return det_permutation_test(tables, resamples=resamples, seed=6)
+        else:
+            # a 10-shot reference is too noisy for the delta method
+            shots = 10 if method == "bootstrap" else 10**4
+            p0 = sample_table(prob_table(seq("ref"), baseline_model), shots, seed=6)
+
+            def run():
+                return cyclic_fidelity_test(tables, p0, r=2, resamples=resamples, seed=6)
+        reference = run()
+        assert reference.details["null"]["method"] == method
+        for members in (1, 7, len(tables)):
+            monkeypatch.setattr(analysis, "NULL_BLOCK_BYTES", members * 8 * resamples)
+            assert run().to_dict() == reference.to_dict()
 
 
 class TestRepetitionTest:
