@@ -41,7 +41,7 @@ which a report judges against its threshold (else ``null``: a witness
 judges each rise on its own), and
 ``linear_size``: the family's ``details.noise_amplification``, the largest
 ``||P^-1||_F ||sd(P)||_F`` over the reference table of a cyclic family, and
-over the members of any other.  It bounds ``||P^-1||_2 ||sd(P)||_F``, the
+over the members that enter the statistic of any other.  It bounds ``||P^-1||_2 ||sd(P)||_F``, the
 size that the delta method needs below 1, from above, within a factor 2
 (``null`` where no report carries it, as in trees before it was reported).
 

@@ -260,7 +260,7 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
     or sampled, gets ``-inf``, as a singular one does, and
     ``details["excluded_condition"]`` maps the label of each such member to its condition.
     Sampled members set ``details["noise_amplification"]``, the largest
-    member's :func:`_linear_size`.
+    :func:`_linear_size` of the members that enter the statistic, or inf if none does.
     """
     entries = np.stack([t.entries for t in tables])
     observed = log_abs_det_many(entries)
@@ -271,8 +271,9 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
         details["excluded_condition"] = excluded
     if all(t.is_exact for t in tables):
         return observed, None
-    sizes = _linear_size(_inverses(entries, np.isfinite(observed)), _cell_sd(tables))
-    details["noise_amplification"] = float(sizes.max())
+    regular = np.isfinite(observed)
+    sizes = _linear_size(np.linalg.inv(entries[regular]), _cell_sd(tables)[regular])
+    details["noise_amplification"] = float(sizes.max()) if sizes.size else math.inf
     return observed, (range(len(tables)), lambda j: log_abs_det_many(
         resample_cells(tables[j], resamples, seed)))
 

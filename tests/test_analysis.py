@@ -305,7 +305,9 @@ class TestDetPermutationTest:
         report = det_permutation_test([table, ill, table], resamples=100)
         assert report.details["singular_members"] == ["ill"]
         assert report.details["excluded_condition"] == pytest.approx({"ill": 1e8})
-        assert report.details["noise_amplification"] == np.inf
+        # the excluded member does not count, so the size stays finite
+        assert report.details["noise_amplification"] == pytest.approx(
+            TestNoiseAmplification.size(table), rel=1e-12)
 
 
 class TestCyclicFidelityTest:
@@ -622,9 +624,27 @@ class TestNoiseAmplification:
         report = det_permutation_test([one_shot(EYE, "a"), one_shot(CYCLE, "b")], resamples=100)
         assert report.details["noise_amplification"] == 4.0
 
-    def test_singular_member_gives_inf(self):
+    def test_excluded_members_do_not_count(self, baseline_model):
+        # the largest size over the members that enter the statistic: a singular
+        # member and one past CONDITION_LIMIT, whose sizes are inf and 5.5e6,
+        # are left out of it as they are left out of the spread and the fit
+        family = repetition_family([GATE_X_PI], [0, 2, 4, 6])
+        tables = family_tables(family, baseline_model, shots=1000, seed=4)
+        tables[1] = one_shot(np.ones((4, 4)), "singular")
+        tables[3] = ProbabilityTable(np.diag([0.5, 0.5, 0.5, 0.5e-8]), 1000, "ill")
+        kept = max(self.size(tables[0]), self.size(tables[2]))
+        for test, args in ((det_permutation_test, ()), (repetition_test, (family.m_values,))):
+            report = test(tables, *args, resamples=100, seed=4)
+            assert set(report.details["excluded_condition"]) == {"singular", "ill"}
+            assert report.details["noise_amplification"] == pytest.approx(kept, rel=1e-12)
         report = det_permutation_test([one_shot(EYE, "a"), one_shot(np.ones((4, 4)), "b")],
                                       resamples=100)
+        assert report.details["noise_amplification"] == 4.0
+
+    def test_singular_member_gives_inf(self):
+        # with no member left to enter the statistic, the size is inf
+        report = det_permutation_test([one_shot(np.ones((4, 4)), "a"),
+                                       one_shot(np.ones((4, 4)), "b")], resamples=100)
         assert report.details["noise_amplification"] == np.inf
         out = report.to_dict()
         assert out["details"]["noise_amplification"] is None
