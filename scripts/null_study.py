@@ -41,9 +41,10 @@ which a report judges against its threshold (else ``null``: a witness
 judges each rise on its own), and
 ``linear_size``: the family's ``details.noise_amplification``, the largest
 ``||P^-1||_F ||sd(P)||_F`` over the reference table of a cyclic family, and
-over the members that enter the statistic of any other.  It bounds ``||P^-1||_2 ||sd(P)||_F``, the
-size that the delta method needs below 1, from above, within a factor 2
-(``null`` where no report carries it, as in trees before it was reported).
+over the members that enter the statistic of any other.  It bounds
+``||P^-1||_2 ||sd(P)||_F``, the size that the delta method needs below 1,
+from above, within a factor 2 (``null`` where no report carries it, as in
+trees before it was reported).
 
 ``compare`` prints each arm's verdict counts for both files and the gate for
 each test found in both.  The right verdict is ContextIndependent at phi = 0 and

@@ -338,7 +338,7 @@ def _spread_report(kind, tables, stats, null, method: str, resamples: int, summa
     against the ``EXACT_SPREAD_TOL`` floor for exact tables (``null`` is
     ``None``) and otherwise against the null that ``method`` made, a pair
     ``(order, draw)``: ``draw(j)`` gives member ``j``'s ``resamples`` draws,
-    made in ``order`` and held ``NULL_BLOCK_BYTES`` of draws at a time.  Each block
+    made in ``order`` and held in blocks of ``NULL_BLOCK_BYTES``.  Each block
     gives its members' 95% intervals; its draws, centred per member to remove
     the observed member-to-member signal, update the running max and min over
     members of every draw, whose difference is the null spread.  Method
@@ -359,9 +359,9 @@ def _spread_report(kind, tables, stats, null, method: str, resamples: int, summa
         order, draw = null
         low, high = np.empty(len(tables)), np.empty(len(tables))
         top, bottom, non_finite = -np.inf, np.inf, 0
-        size = max(1, NULL_BLOCK_BYTES // (8 * resamples))  # whole members per block
-        for start in range(0, len(order), size):
-            idx = order[start:start + size]
+        per_block = max(1, NULL_BLOCK_BYTES // (8 * resamples))  # whole members
+        for start in range(0, len(order), per_block):
+            idx = order[start:start + per_block]
             block = np.empty((len(idx), resamples))
             for row, j in zip(block, idx):
                 row[:] = draw(j)
