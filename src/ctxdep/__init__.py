@@ -16,9 +16,13 @@ looking through those layers in that order: ``import ctxdep`` and the config
 and CLI modules load no numpy, and a name loads only its own layer and the
 ones before it, so the gate names load no numpy either.  ``__all__``, and
 with it ``dir`` and ``from ctxdep import *``, loads every layer.
+
+The package logs through :func:`_log`, which loads ``logging`` only for a
+record that could reach a handler.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -48,3 +52,40 @@ def _module(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(__getattr__("__all__")))
+
+
+_DEBUG, _INFO, _WARNING = 10, 20, 30  # logging's level numbers
+# a logging.basicConfig call not made yet: process-wide, as is what it configures
+_basic_config: dict | None = None
+
+
+def _configure_log(**kwargs) -> None:
+    """``logging.basicConfig(**kwargs)``: at once if ``logging`` is loaded, else
+    before the first record that loads it."""
+    global _basic_config
+    _basic_config = kwargs
+    if "logging" in sys.modules:
+        _logging()
+
+
+def _logging():
+    """The ``logging`` module, with a pending :func:`_configure_log` applied."""
+    global _basic_config
+    import logging
+
+    config = _basic_config  # read once: another thread may apply it meanwhile
+    if config is not None:
+        logging.basicConfig(**config)  # which does nothing once the root has a handler
+        _basic_config = None
+    return logging
+
+
+def _log(name: str, level: int, msg: str, *args) -> None:
+    """``logging.getLogger(name).log(level, msg, *args)``, which loads ``logging``
+    only for a record that could reach a handler.
+
+    A record below WARNING is dropped while ``logging`` is not loaded: then
+    nothing has set a handler or a level that would pass it.
+    """
+    if level >= _WARNING or "logging" in sys.modules:
+        _logging().getLogger(name).log(level, msg, *args)

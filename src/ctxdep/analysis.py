@@ -26,14 +26,13 @@ permutation and repetition tests always use.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import experiment
+from . import _WARNING, _log, experiment
 from .experiment import ProbabilityTable, resample_cells
 from .ptm import log_abs_det, log_abs_det_many, trace_powers
 
@@ -51,8 +50,6 @@ __all__ = [
     "cp_witness",
     "bootstrap_ci",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Numerical floor distinguishing roundoff from signal in exact-table runs.
 EXACT_SPREAD_TOL = 1e-9
@@ -152,10 +149,17 @@ class TestReport:
         return out
 
 
-def _cond(matrix: np.ndarray):
+def _cond(matrix: np.ndarray, inverse: np.ndarray | None = None):
     # 1-norm (inf if singular, also per matrix of a stack): it needs one LU
-    # inverse, on the path slogdet and solve use, where the 2-norm needs the SVD
-    return np.linalg.cond(matrix, 1)
+    # inverse, on the path slogdet and solve use, where the 2-norm needs the SVD;
+    # from a given inverse (NaN where singular) it is np.linalg.cond(matrix, 1) bit
+    # for bit, which takes ||P||_1 ||P^-1||_1 of its own inverse the same way
+    if inverse is None:
+        return np.linalg.cond(matrix, 1)
+    with np.errstate(all="ignore"):  # an overflowed inverse
+        cond = (np.linalg.norm(matrix, 1, axis=(-2, -1))
+                * np.linalg.norm(inverse, 1, axis=(-2, -1)))
+    return np.where(np.isnan(cond), np.inf, cond)
 
 
 def _two_norm_or_bound(low: float, high: float, limit: float, two_norm) -> float:
@@ -264,7 +268,10 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
     """
     entries = np.stack([t.entries for t in tables])
     observed = log_abs_det_many(entries)
-    cond = _cond(entries)
+    # one LU inverse per table serves the condition and the noise amplification;
+    # LU has a zero pivot, and inv fails, exactly where slogdet gives -inf
+    inverse = _inverses(entries, np.isfinite(observed))
+    cond = _cond(entries, inverse)
     observed[cond > CONDITION_LIMIT] = -np.inf  # roundoff, not a determinant
     excluded = {t.label: c for t, c, v in zip(tables, cond, observed) if not np.isfinite(v)}
     if excluded:
@@ -272,7 +279,7 @@ def _log_dets(tables, resamples: int, seed: int, details: dict):
     if all(t.is_exact for t in tables):
         return observed, None
     regular = np.isfinite(observed)
-    sizes = _linear_size(np.linalg.inv(entries[regular]), _cell_sd(tables)[regular])
+    sizes = _linear_size(inverse[regular], _cell_sd(tables)[regular])
     details["noise_amplification"] = float(sizes.max()) if sizes.size else math.inf
     return observed, (range(len(tables)), lambda j: log_abs_det_many(
         resample_cells(tables[j], resamples, seed)))
@@ -407,7 +414,7 @@ def det_permutation_test(
     l_values, null = _log_dets(tables, resamples, seed, details)
     singular = [t.label for t, v in zip(tables, l_values) if not np.isfinite(v)]
     if singular:
-        logger.warning("singular tables flagged: %s", ", ".join(singular))
+        _log(__name__, _WARNING, "singular tables flagged: %s", ", ".join(singular))
     summary: dict = {"n_singular": len(singular)}
     details["singular_members"] = singular
     summary["raw_units_offset"] = -IDEAL_SPAM_LOG_DET
@@ -592,8 +599,8 @@ def repetition_test(
     l_values = l_values - IDEAL_SPAM_LOG_DET
     good = np.isfinite(l_values)
     if not good.all():
-        logger.warning("excluding singular members from fit: %s",
-                       ", ".join(details["excluded_condition"]))
+        _log(__name__, _WARNING, "excluding singular members from fit: %s",
+             ", ".join(details["excluded_condition"]))
 
     ci_low = ci_high = None
     if boots is None:

@@ -13,15 +13,14 @@ divisibility witness.  Exit status is 2 when any test returns a
 ContextDependent verdict, 1 on errors, and 0 otherwise, also when some
 verdicts are Inconclusive.  ``CTXDEP_LOG=info`` logs each coupling
 angle's stage wall times; ``debug`` also names the product path each family
-took.
+took.  ``logging`` loads only when ``CTXDEP_LOG`` is set, the caller loaded it
+already, or a warning is logged (for a singular table).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import logging
 import os
 import re
 import sys
@@ -29,6 +28,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
+from . import _INFO, _WARNING, _configure_log, _log
 from .config import RunConfig, _phi_dir_name, load_config, set_key, validate
 
 if TYPE_CHECKING:
@@ -36,8 +36,6 @@ if TYPE_CHECKING:
     from .noise import NoiseParams, TwoQubitModel
 
 __all__ = ["run_scenario", "main"]
-
-logger = logging.getLogger(__name__)
 
 
 def _sanitize(label: str) -> str:
@@ -105,6 +103,8 @@ def _report_name(family, report) -> str:
 
 def _emit_reports(family, reports, phi: float, out_dir: str) -> None:
     """Write each report's ``report_<kind>.json`` and, but for CPWitness, ``plot_<kind>.csv``."""
+    import json  # loaded on the run path only: `validate` writes no report
+
     for report in reports:
         name = _report_name(family, report)
         # streamed, so the whole JSON text is never held in memory
@@ -172,7 +172,7 @@ class _Writer:
 def _log_stages(writer: _Writer, phi: float, stage_s: dict) -> None:
     """Log ``phi``'s stage times at INFO; queued after its files, ``emit`` is their write time."""
     for stage, seconds in {**stage_s, "emit": writer.busy_s}.items():
-        logger.info("phi=%g %s: %.3f s", phi, stage, seconds)
+        _log(__name__, _INFO, "phi=%g %s: %.3f s", phi, stage, seconds)
     writer.busy_s = 0.0
 
 
@@ -323,12 +323,14 @@ def main(argv=None) -> int:
     # splits across threads, but it starts nproc - 1 spinning workers when numpy
     # loads; main owns its process and loads numpy after this line
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    # a level name maps to its number; any other value would make basicConfig raise
-    level = logging.getLevelName(os.environ.get("CTXDEP_LOG", "WARNING").upper())
-    logging.basicConfig(
-        level=level if isinstance(level, int) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("CTXDEP_LOG")
+    if level is not None:  # else logging loads only for a warning
+        import logging
+
+        # a level name maps to its number; any other value would make basicConfig raise
+        level = logging.getLevelName(level.upper())
+    _configure_log(level=level if isinstance(level, int) else _WARNING,
+                   format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _build_arg_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors exit 1; status 2 means ContextDependent

@@ -10,13 +10,13 @@ preparation ``i`` is followed by the sequence and then measurement setting
 from __future__ import annotations
 
 import functools
-import logging
 from collections.abc import Sequence as AbcSequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence as TypingSequence
 
 import numpy as np
 
+from . import _DEBUG, _log
 from .gates import GateSpec
 from .noise import TwoQubitModel, UnknownGate
 
@@ -36,8 +36,6 @@ __all__ = [
     "write_table_csv",
     "read_table_csv",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -396,13 +394,13 @@ def family_tables(
     family is evaluated member by member with :func:`sequence_ptm`.
     """
     if family.product is not None:
-        logger.debug("%s: %s-shaped products", family.description, family.kind)
+        _log(__name__, _DEBUG, "%s: %s-shaped products", family.description, family.kind)
         tables = [
             ProbabilityTable(entries=e, shots=None, label=label)
             for e, label in zip(family.product(model), family.labels)
         ]
     else:
-        logger.debug("%s: per-member sequence_ptm", family.description)
+        _log(__name__, _DEBUG, "%s: per-member sequence_ptm", family.description)
         tables = [prob_table(seq, model) for seq in family.members]
     if shots is None:
         return tables

@@ -310,6 +310,21 @@ class TestDetPermutationTest:
             TestNoiseAmplification.size(table), rel=1e-12)
 
 
+def test_condition_from_the_inverse_is_numpys(baseline_model):
+    # _log_dets takes kappa_1 from the inverses it also sizes the noise with: it must
+    # be np.linalg.cond(., 1) bit for bit, inf for a singular table, on a stack that
+    # holds a model's table, an ill-conditioned one and random ones, 62 of them singular
+    rng = np.random.default_rng(0)
+    entries = np.concatenate([
+        [prob_table(seq("x", GATE_X_PI), baseline_model).entries,
+         np.diag([0.5, 0.5, 0.5, 0.5e-8])],
+        rng.integers(0, 3, size=(200, 4, 4)) / 2])
+    regular = np.isfinite(log_abs_det_many(entries))
+    assert np.count_nonzero(~regular) == 62
+    cond = analysis._cond(entries, analysis._inverses(entries, regular))
+    np.testing.assert_array_equal(cond, np.linalg.cond(entries, 1))
+
+
 class TestCyclicFidelityTest:
     def test_exact_null_case(self, baseline_model):
         base = seq("x_i40", GATE_X_PI, *([GATE_IDLE] * 40))
@@ -375,6 +390,17 @@ class TestCyclicFidelityTest:
         assert report.summary["spread"] == 0.75
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.details["inconclusive_reason"].startswith("zero-width bootstrap null")
+
+    def test_order_equal_to_the_dimension(self, baseline_model):
+        # r = n = 4, the highest order the test accepts
+        base = seq("x_i40", GATE_X_PI, *([GATE_IDLE] * 40))
+        tables = family_tables(cyclic_family(base), baseline_model)
+        p0 = prob_table(seq("ref"), baseline_model)
+        report = cyclic_fidelity_test(tables, p0, r=4)
+        assert report.summary["order"] == 4
+        np.testing.assert_array_equal(report.statistics,
+                                      report.details["fidelity_by_order"]["4"])
+        assert report.verdict is Verdict.CONTEXT_INDEPENDENT
 
     def test_rejects_bad_order(self, baseline_model):
         p0 = prob_table(seq("ref"), baseline_model)
@@ -913,6 +939,19 @@ class TestRepetitionTest:
             f"line fit has no residual degrees of freedom: {len(finite)} of 4 members finite"
         )
         assert np.isnan(report.summary["chi2"])
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_three_finite_members_are_fitted(self, baseline_model, shots):
+        # the fewest finite members whose line leaves a residual: one degree of freedom
+        family = repetition_family([GATE_X_PI], [0, 1, 2, 3])
+        flat = np.full((4, 4), 0.25)  # rank 1: log|det| = -inf
+        tables = [ProbabilityTable(flat if j == 2 else t.entries, shots, t.label)
+                  for j, t in enumerate(family_tables(family, baseline_model))]
+        report = repetition_test(tables, family.m_values, resamples=200, seed=1)
+        assert report.summary["n_excluded"] == 1
+        assert "inconclusive_reason" not in report.details
+        assert np.isfinite(report.summary["chi2"])
+        assert report.verdict is Verdict.CONTEXT_INDEPENDENT
 
     @pytest.mark.parametrize("scenario", ["fig3a", "fig3b"])
     def test_closed_form_line_fit_matches_lstsq(self, scenario):

@@ -878,13 +878,19 @@ UNUSED_MODULES = NEVER_LOADED + ("numpy.random", "hashlib", "secrets", "decimal"
 LEGACY_RANDOM = ("numpy.random.mtrand", "numpy.random._mt19937", "numpy.random._sfc64",
                  "numpy.random._pickle")
 # Loaded only once a run needs them: `import ctxdep`, the CLI module and
-# `validate` need no numerical layer.
+# `validate` need no numerical layer, nor json, which writes a run's reports.
 NUMERICAL_MODULES = ("numpy", "ctxdep.ptm", "ctxdep.noise", "ctxdep.experiment",
                      "ctxdep.analysis")
+REPORT_MODULES = ("json",)
+# Loaded only for a record that could reach a handler: with CTXDEP_LOG unset,
+# a run that warns of no singular table logs nothing.
+LOGGING = ("logging",)
 
+# json is loaded after the last step, to print what each step loaded
 FOOTPRINT_CHILD = """
-import json, pickle, sys
-setup_names, runs = json.loads(sys.argv[1])
+import ast, os, pickle, sys
+os.environ.pop("CTXDEP_LOG", None)
+setup_names, runs = ast.literal_eval(sys.argv[1])
 def loaded(names):
     return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
 calls = {"build_model": 0, "run_scenario": 0}
@@ -927,6 +933,7 @@ numpy.random.bit_generator.SeedSequence(0)
 gen = numpy.random.default_rng(0)
 assert pickle.loads(pickle.dumps(gen)).random() == gen.random()
 numpy.random.RandomState(0).random_sample()
+import json
 print(json.dumps(found))
 """
 
@@ -963,18 +970,19 @@ def _python_child(args, **env_vars):
 
 def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
     # one subprocess guards the import path: importing the package and the CLI
-    # and validating load no numerical layer, exact runs of each family shape
-    # none of UNUSED_MODULES, and the sampled runs that follow them none of
-    # NEVER_LOADED and LEGACY_RANDOM, after which `import numpy.random` gives
-    # the package they drew from, complete; every run builds its model through
-    # `ctxdep.cli.build_model`, once per phi, and runs through `run_scenario`
+    # and validating load no numerical layer, no json and no logging, exact runs of
+    # each family shape none of UNUSED_MODULES and LOGGING, and the sampled
+    # runs that follow them none of NEVER_LOADED, LEGACY_RANDOM and LOGGING,
+    # after which `import numpy.random` gives the package they drew from,
+    # complete; every run builds its model through `ctxdep.cli.build_model`,
+    # once per phi, and runs through `run_scenario`
     configs = {
         "permutation": 'family = permutation\ngates = "I X_pi"\nn = 3\n',
         "cyclic": 'family = cyclic\ngates = "X_pi I*5"\n',
         "repetition": 'family = repetition\ngates = "X_pi"\nm_values = [0, 2, 4, 6]\n',
     }
-    jobs = [(family, family, "exact", UNUSED_MODULES) for family in configs]
-    jobs += [(f"{family} sampled", family, "1000", NEVER_LOADED + LEGACY_RANDOM)
+    jobs = [(family, family, "exact", UNUSED_MODULES + LOGGING) for family in configs]
+    jobs += [(f"{family} sampled", family, "1000", NEVER_LOADED + LEGACY_RANDOM + LOGGING)
              for family in ("cyclic", "repetition")]
     runs = []
     for name, family, shots, names in jobs:
@@ -982,8 +990,8 @@ def test_exact_runs_and_validate_load_only_what_they_use(tmp_path):
         path.write_text(f"scenario = custom\nshots = {shots}\nphi_values = [0, 0.005]\n"
                         f"{configs[family]}")
         runs.append((name, ["run", "--config", str(path), "--out", str(tmp_path / name)], names))
-    names = [UNUSED_MODULES + NUMERICAL_MODULES, runs]
-    out = _python_child(["-c", FOOTPRINT_CHILD, json.dumps(names)])
+    names = [UNUSED_MODULES + NUMERICAL_MODULES + REPORT_MODULES + LOGGING, runs]
+    out = _python_child(["-c", FOOTPRINT_CHILD, repr(names)])
     assert out.returncode == 0, out.stderr
     found = json.loads(out.stdout.strip().splitlines()[-1])
     idle = {"loaded": [], "calls": {"build_model": 0, "run_scenario": 0}}
@@ -1145,6 +1153,31 @@ def test_run_without_numpy_fails_with_a_sentence(tmp_path):
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "numpy" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# `python -m ctxdep.cli` would name the CLI's logger __main__
+MAIN_CHILD = "import sys\nfrom ctxdep.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("level", ["info", "debug"])
+def test_log_level_prints_stage_and_path_lines(tmp_path, level):
+    # in a child, whose logging loads for CTXDEP_LOG alone (pytest loads it
+    # first): each phi's stage times at info, and at debug also the product
+    # path of each family, in main's format
+    path = tmp_path / "run.cfg"
+    path.write_text('scenario = custom\nfamily = cyclic\ngates = "X_pi I*5"\n'
+                    "shots = exact\nphi_values = [0, 0.005]\n")
+    out = _python_child(["-c", MAIN_CHILD, "run", "--config", str(path), "--out",
+                         str(tmp_path / "out")], CTXDEP_LOG=level)
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    stages = [re.sub(r": \d+\.\d{3} s$", ": … s", line) for line in lines
+              if line.startswith("INFO ")]
+    assert stages == [f"INFO ctxdep.cli: phi={phi} {stage}: … s" for phi in ("0", "0.005")
+                      for stage in ("model build", "tables", "tests", "emit")]
+    paths = ["DEBUG ctxdep.experiment: rotations of X_piIIIII: cyclic-shaped products"] * 2
+    assert [line for line in lines if not line.startswith("INFO ")] == (
+        paths if level == "debug" else [])
 
 
 def test_unknown_log_level_falls_back_to_warning():
