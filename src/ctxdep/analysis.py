@@ -149,13 +149,11 @@ class TestReport:
         return out
 
 
-def _cond(matrix: np.ndarray, inverse: np.ndarray | None = None):
+def _cond(matrix: np.ndarray, inverse: np.ndarray):
     # 1-norm (inf if singular, also per matrix of a stack): it needs one LU
     # inverse, on the path slogdet and solve use, where the 2-norm needs the SVD;
-    # from a given inverse (NaN where singular) it is np.linalg.cond(matrix, 1) bit
+    # from the given inverse (NaN where singular) it is np.linalg.cond(matrix, 1) bit
     # for bit, which takes ||P||_1 ||P^-1||_1 of its own inverse the same way
-    if inverse is None:
-        return np.linalg.cond(matrix, 1)
     with np.errstate(all="ignore"):  # an overflowed inverse
         cond = (np.linalg.norm(matrix, 1, axis=(-2, -1))
                 * np.linalg.norm(inverse, 1, axis=(-2, -1)))
@@ -505,7 +503,9 @@ def cyclic_fidelity_test(
     _check_resamples(resamples)
     p0_entries = np.asarray(p0.entries, dtype=float)
     n = p0_entries.shape[0]
-    cond = float(_cond(p0_entries))
+    # the one inverse of the reference serves its condition and its noise size
+    p0_inv = _inverses(p0_entries, np.isfinite(log_abs_det(p0_entries)))
+    cond = float(_cond(p0_entries, p0_inv))
     # kappa_1 / n <= kappa_2 <= n kappa_1
     cond2 = _two_norm_or_bound(cond / n, cond * n, CONDITION_LIMIT,
                                lambda: np.linalg.cond(p0_entries))
@@ -521,7 +521,6 @@ def cyclic_fidelity_test(
     details: dict = {"reference_condition": cond}
     sampled = not (p0.is_exact and all(t.is_exact for t in tables))
     if sampled:
-        p0_inv = np.linalg.inv(p0_entries) if np.isfinite(cond) else np.full((n, n), np.nan)
         sd0 = _cell_sd([p0])[0]
         size = float(_linear_size(p0_inv, sd0))
         details["noise_amplification"] = size
