@@ -46,9 +46,7 @@ __all__ = [
     "repetition_test",
     "unitarity_u",
     "unitarity_tilde",
-    "accessible_volume",
     "cp_witness",
-    "bootstrap_ci",
 ]
 
 # Numerical floor distinguishing roundoff from signal in exact-table runs.
@@ -696,18 +694,6 @@ def unitarity_tilde(ptm: np.ndarray) -> float:
     return float(np.exp(2.0 * lad / (g.shape[0] - 1)))
 
 
-def accessible_volume(p: ProbabilityTable, p0: ProbabilityTable) -> float:
-    """State-space volume ratio ``|det P| / |det P0|``.
-
-    Equals ``|det S|`` of the intervening process when the gates are
-    context-independent; computed in the log domain.
-    """
-    l0 = log_abs_det(p0.entries)
-    if not np.isfinite(l0):
-        raise SingularReference("reference table is singular")
-    return float(np.exp(log_abs_det(p.entries) - l0))
-
-
 def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     """Divisibility witness: ``log|det|`` may never rise along a process.
 
@@ -716,10 +702,12 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     themselves are not significantly context-dependent (recorded as a caveat).
     A rise between adjacent finite members is significant when it exceeds
     ``EXACT_SPREAD_TOL`` or, given confidence intervals, when they do not
-    overlap.  An interval of zero width (every resample reproduced its table,
-    as single-shot 0/1 frequencies do) cannot tell a rise from shot noise,
-    and a non-finite bound of a finite member (-inf draws) cannot be compared,
-    so either makes the result Inconclusive; so does a series with no two
+    overlap: the later lower bound must lie strictly above the earlier upper
+    bound, so intervals that only touch overlap.  An interval of zero width
+    (every resample reproduced its table, as single-shot 0/1 frequencies do)
+    cannot tell a rise from shot noise, and a non-finite bound of a finite
+    member (-inf draws) cannot be compared, so either makes the result
+    Inconclusive; so does a series with no two
     adjacent finite members, which has nothing to compare.
     ``summary.cp_indivisible`` is true exactly when the verdict is
     ContextDependent; the rises found are listed in ``details.increases``
@@ -766,31 +754,3 @@ def cp_witness(m_values, l_values, ci_low=None, ci_high=None) -> TestReport:
     return TestReport(
         "CPWitness", labels, l_values, verdict, EXACT_SPREAD_TOL, summary, ci_low, ci_high, details
     )
-
-
-def bootstrap_ci(
-    statistic,
-    table: ProbabilityTable,
-    resamples: int = 500,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Parametric-bootstrap 95% interval for a statistic of one table.
-
-    Each resample redraws every cell from a binomial at the observed
-    frequency; the interval is :func:`_null_ci`'s [2.5%, 97.5%] range, so
-    ``-inf`` draws can give a NaN bound.  Exact tables yield a degenerate
-    interval at the exact value.
-    """
-    _check_resamples(resamples)
-    if table.is_exact:
-        value = float(statistic(table))
-        return value, value
-    draws = resample_cells(table, resamples, seed, tag="ci")
-    values = np.array(
-        [
-            statistic(ProbabilityTable(entries=draws[b], shots=table.shots, label=table.label))
-            for b in range(resamples)
-        ]
-    )
-    lo, hi, _ = _null_ci(values)
-    return float(lo), float(hi)

@@ -172,7 +172,8 @@ class _Writer:
 def _log_stages(writer: _Writer, phi: float, stage_s: dict) -> None:
     """Log ``phi``'s stage times at INFO; queued after its files, ``emit`` is their write time."""
     for stage, seconds in {**stage_s, "emit": writer.busy_s}.items():
-        _log(__name__, _INFO, "phi=%g %s: %.3f s", phi, stage, seconds)
+        # named by the spec, as __name__ is __main__ under `python -m ctxdep.cli`
+        _log(__spec__.name, _INFO, "phi=%g %s: %.3f s", phi, stage, seconds)
     writer.busy_s = 0.0
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "prob_table",
     "sample_table",
     "permutation_family",
-    "random_permutation_family",
     "cyclic_family",
     "repetition_family",
     "family_tables",
@@ -191,20 +190,18 @@ def sample_table(table: ProbabilityTable, shots: int, seed: int) -> ProbabilityT
     return ProbabilityTable(entries=out, shots=shots, label=table.label)
 
 
-def resample_cells(
-    table: ProbabilityTable, resamples: int, seed: int, tag: str = "boot"
-) -> np.ndarray:
+def resample_cells(table: ProbabilityTable, resamples: int, seed: int) -> np.ndarray:
     """Stack of ``resamples`` parametric-bootstrap tables around ``table``.
 
     For an exact table the stack is just the table repeated.  A sampled
-    table gets one substream keyed on ``(seed, tag, label)``; its cells draw
+    table gets one substream keyed on ``(seed, "boot", label)``; its cells draw
     their ``resamples`` values from it in row-major order, which keeps the
     result independent of the order in which tables are resampled.
     """
     p = np.asarray(table.entries)
     if table.is_exact:
         return np.broadcast_to(p, (resamples,) + p.shape)
-    return _frequencies(p, table.shots, substream(seed, tag, table.label), resamples)
+    return _frequencies(p, table.shots, substream(seed, "boot", table.label), resamples)
 
 
 def _frequencies(p: np.ndarray, shots: int, gen, size: int | None) -> np.ndarray:
@@ -238,26 +235,6 @@ def permutation_family(a: GateSpec, b: GateSpec, n: int) -> SequenceFamily:
         kind="permutation",
         description=f"rearrangements of {a.label}^{n} {b.label}^{n}",
         product=functools.partial(_permutation_entries, a, b, n),
-    )
-
-
-def random_permutation_family(
-    a: GateSpec, b: GateSpec, n: int, count: int, seed: int
-) -> SequenceFamily:
-    """``count`` seeded random shuffles of the same ``a^n b^n`` multiset."""
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be >= 1")
-    base = np.array([0] * n + [1] * n)
-    gates_by_id = (a, b)
-    members = []
-    for j in range(count):
-        order = substream(seed, "perm", j).permutation(base)
-        gates = tuple(gates_by_id[i] for i in order)
-        members.append(Sequence(gates=gates, label=f"shuf{j:03d}"))
-    return SequenceFamily(
-        members=tuple(members),
-        kind="permutation",
-        description=f"random shuffles of {a.label}^{n} {b.label}^{n}",
     )
 
 

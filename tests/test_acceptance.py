@@ -15,7 +15,6 @@ from ctxdep import (
     GATE_Y_PI,
     Sequence,
     Verdict,
-    bootstrap_ci,
     build_model,
     cp_witness,
     cyclic_family,
@@ -266,13 +265,13 @@ def test_criterion_8_bootstrap_coverage(phi0_model):
     member = permutation_family(GATE_IDLE, GATE_X_PI, 250).members[0]
     exact = prob_table(member, phi0_model)
     exact_l = log_abs_det(exact.entries)
-    statistic = lambda t: log_abs_det(t.entries)
     covered = 0
     reps = 200
     for rep in range(reps):
+        # the member interval a permutation run reports
         sampled = sample_table(exact, shots=10**5, seed=5000 + rep)
-        lo, hi = bootstrap_ci(statistic, sampled, resamples=500, seed=6000 + rep)
-        covered += lo <= exact_l <= hi
+        report = det_permutation_test([sampled], seed=6000 + rep)
+        covered += report.ci_low[0] <= exact_l <= report.ci_high[0]
     rate = covered / reps
     ok = 0.93 <= rate <= 0.97
     check(8, ok, f"bootstrap 95% CI coverage at N=1e5: {covered}/{reps} = {rate:.1%}")

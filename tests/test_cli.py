@@ -1155,7 +1155,7 @@ def test_run_without_numpy_fails_with_a_sentence(tmp_path):
     assert "Traceback" not in out.stderr
 
 
-# `python -m ctxdep.cli` would name the CLI's logger __main__
+# a host program that calls main
 MAIN_CHILD = "import sys\nfrom ctxdep.cli import main\nsys.exit(main(sys.argv[1:]))"
 
 
@@ -1178,6 +1178,16 @@ def test_log_level_prints_stage_and_path_lines(tmp_path, level):
     paths = ["DEBUG ctxdep.experiment: rotations of X_piIIIII: cyclic-shaped products"] * 2
     assert [line for line in lines if not line.startswith("INFO ")] == (
         paths if level == "debug" else [])
+
+
+def test_module_run_logs_as_ctxdep_cli(tmp_path):
+    # under `python -m` the module's __name__ is __main__, which a level or
+    # handler set on the `ctxdep` logger would miss
+    out = _python_child(["-m", "ctxdep.cli", "run", "--scenario", "fig3b", "--shots", "exact",
+                         "--out", str(tmp_path / "out")], CTXDEP_LOG="info")
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert lines and all(line.startswith("INFO ctxdep.cli: phi=") for line in lines), lines
 
 
 def test_unknown_log_level_falls_back_to_warning():

@@ -19,7 +19,6 @@ from ctxdep import (
     log_abs_det,
     permutation_family,
     prob_table,
-    random_permutation_family,
     read_table_csv,
     repetition_family,
     sample_table,
@@ -189,7 +188,10 @@ class TestSamplingContract:
     def test_tags_and_labels_give_different_draws(self, tables):
         sampled = sample_table(tables[0], self.SHOTS, seed=11)
         boot = resample_cells(sampled, 40, seed=11)
-        assert not np.array_equal(boot, resample_cells(sampled, 40, seed=11, tag="ci"))
+        # the first cell's draws, from the "cell" stream that sample_table keys
+        cell = substream(11, "cell", sampled.label).binomial(
+            self.SHOTS, sampled.entries[0, 0], size=40) / self.SHOTS
+        assert not np.array_equal(boot[:, 0, 0], cell)
         relabeled = ProbabilityTable(sampled.entries, self.SHOTS, "other")
         assert not np.array_equal(boot, resample_cells(relabeled, 40, seed=11))
 
@@ -230,16 +232,6 @@ class TestFamilies:
             assert len(member.gates) == 500
             assert member.gates.count(GATE_IDLE) == 250
             assert member.gates.count(GATE_X_PI) == 250
-
-    def test_random_permutations_preserve_multiset(self):
-        family = random_permutation_family(GATE_IDLE, GATE_X_PI, 10, count=5, seed=7)
-        assert len(family.members) == 5
-        for member in family.members:
-            assert member.gates.count(GATE_IDLE) == 10
-            assert member.gates.count(GATE_X_PI) == 10
-        # deterministic under the seed
-        again = random_permutation_family(GATE_IDLE, GATE_X_PI, 10, count=5, seed=7)
-        assert [m.gates for m in family.members] == [m.gates for m in again.members]
 
     def test_cyclic_singleton(self):
         family = cyclic_family(seq("a", GATE_X_PI))
@@ -400,11 +392,6 @@ FAMILY_CASES = _preset_cases() + [
         repetition_family([GATE_X_HALF, GATE_IDLE], [3, 4, 9, 17]),
         "repetition",
         id="repetition-uneven-steps",
-    ),
-    pytest.param(
-        random_permutation_family(GATE_IDLE, GATE_X_PI, 10, count=6, seed=3),
-        None,
-        id="fallback-random-permutation",
     ),
     pytest.param(_not_rotations(), None, id="fallback-cyclic-not-rotations"),
     pytest.param(_hand_built_rotations(), None, id="fallback-hand-built-rotations"),
