@@ -32,7 +32,6 @@ from .ptm import (
     hamiltonian_generator,
     matexp,
     pauli_basis,
-    vectorize_effect,
     vectorize_state,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "gate_unitary",
     "ising_generator",
     "rotation_generator",
-    "noisy_gate",
     "initial_state",
     "measurement_effect",
     "TwoQubitModel",
@@ -103,11 +101,12 @@ def gate_unitary(gate: GateSpec) -> np.ndarray:
     return math.cos(half) * PAULI_I - 1j * math.sin(half) * sigma
 
 
-def rotation_generator(gate: GateSpec, basis: OperatorBasis) -> np.ndarray:
+def rotation_generator(gate: GateSpec) -> np.ndarray:
     """Generator of the ideal rotation on A (tensored with identity on B).
 
     The idle gate has a zero generator by convention.
     """
+    basis = pauli_basis(2)
     if gate.axis == "I":
         return np.zeros((basis.size, basis.size))
     h = (gate.angle / 2.0) * np.kron(_AXIS_OPS[gate.axis], PAULI_I)
@@ -115,77 +114,53 @@ def rotation_generator(gate: GateSpec, basis: OperatorBasis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _ideal_generator(gate: GateSpec, basis: OperatorBasis) -> np.ndarray:
-    """:func:`rotation_generator`, built once per gate and basis and read-only.
+def _ideal_generator(gate: GateSpec) -> np.ndarray:
+    """:func:`rotation_generator`, built once per gate and read-only.
 
     It depends on neither the coupling nor the decay rates, so every model
     shares it.
     """
-    generator = rotation_generator(gate, basis)
+    generator = rotation_generator(gate)
     generator.flags.writeable = False
     return generator
 
 
-def ising_generator(coupling: float, basis: OperatorBasis) -> np.ndarray:
+def ising_generator(coupling: float) -> np.ndarray:
     """Generator of the ZZ interaction ``rho -> -i[(J/2) Z(x)Z, rho]``."""
     if not math.isfinite(coupling):
         raise ValueError("coupling must be finite")
-    return hamiltonian_generator((coupling / 2.0) * np.kron(PAULI_Z, PAULI_Z), basis)
+    return hamiltonian_generator((coupling / 2.0) * np.kron(PAULI_Z, PAULI_Z), pauli_basis(2))
 
 
 @functools.lru_cache(maxsize=64)
-def _dissipator(gamma1: float, gamma3: float, gamma_phi: float, basis: OperatorBasis) -> np.ndarray:
+def _dissipator(gamma1: float, gamma3: float, gamma_phi: float) -> np.ndarray:
     """The two-qubit :func:`dissipator_generator`, built once per rate set and read-only.
 
     It does not depend on the coupling, so every model of a phi sweep shares it.
     """
-    dissipator = dissipator_generator(gamma1, gamma3, gamma_phi, 2, basis)
+    dissipator = dissipator_generator(gamma1, gamma3, gamma_phi, 2)
     dissipator.flags.writeable = False
     return dissipator
-
-
-def _noise_generators(params: NoiseParams, basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The ZZ coupling ``V`` and two-qubit dissipator ``D`` that every gate shares."""
-    dissipator = _dissipator(params.gamma1, params.gamma3, params.gamma_phi, basis)
-    return ising_generator(params.coupling, basis), dissipator
-
-
-def _gate_matrix(gate: GateSpec, t_gate: float, basis: OperatorBasis, generators) -> np.ndarray:
-    if not isinstance(gate, GateSpec):
-        raise UnknownGate(f"not a gate instruction: {gate!r}")
-    stretch = gate.duration * t_gate
-    ising, dissipator = generators
-    return matexp(_ideal_generator(gate, basis) + stretch * ising + stretch * dissipator)
-
-
-def noisy_gate(gate: GateSpec, params: NoiseParams, basis: OperatorBasis) -> np.ndarray:
-    """16x16 transfer matrix of a noisy gate on the A+B pair.
-
-    ``exp(J_gate + k*t_gate*(V + D))`` with ``J_gate`` the full ideal rotation
-    generator, ``V`` the ZZ coupling, ``D`` the two-qubit dissipator, and
-    ``k`` the gate's duration multiplier.
-    """
-    return _gate_matrix(gate, params.t_gate, basis, _noise_generators(params, basis))
 
 
 def _thermal_qubit(p_ground: float) -> np.ndarray:
     return np.diag([p_ground, 1.0 - p_ground]).astype(complex)
 
 
-def initial_state(params: NoiseParams, basis: OperatorBasis) -> np.ndarray:
+def initial_state(params: NoiseParams) -> np.ndarray:
     """Vectorized noisy initial state ``(p|0><0| + (1-p)|1><1|)^(x)2``.
 
     With ``p = gamma1 / (gamma1 + gamma3)`` this state is stationary under
     the pure-decoherence part of the dynamics.
     """
     rho = np.kron(_thermal_qubit(params.p_ground), _thermal_qubit(params.p_ground))
-    return vectorize_state(rho, basis)
+    return vectorize_state(rho, pauli_basis(2))
 
 
-def measurement_effect(params: NoiseParams, basis: OperatorBasis) -> np.ndarray:
+def measurement_effect(params: NoiseParams) -> np.ndarray:
     """Vectorized monitored effect ``eta |1><1|`` on A; B is traced out."""
     effect = params.eta * np.kron(np.diag([0.0, 1.0]).astype(complex), PAULI_I)
-    return vectorize_effect(effect, basis)
+    return vectorize_state(effect, pauli_basis(2))
 
 
 @dataclass
@@ -212,30 +187,32 @@ class TwoQubitModel:
     _gate_cache: dict = field(default_factory=dict, repr=False)
 
     def gate_ptm(self, gate: GateSpec) -> np.ndarray:
+        """16x16 transfer matrix of a noisy gate on the A+B pair, built once per gate.
+
+        ``exp(J_gate + k*t_gate*(V + D))`` with ``J_gate`` the full ideal rotation
+        generator, ``V`` the ZZ coupling, ``D`` the two-qubit dissipator, and
+        ``k`` the gate's duration multiplier.
+        """
         cached = self._gate_cache.get(gate)
         if cached is None:
-            cached = _gate_matrix(gate, self.params.t_gate, self.basis, self.generators)
+            if not isinstance(gate, GateSpec):
+                raise UnknownGate(f"not a gate instruction: {gate!r}")
+            stretch = gate.duration * self.params.t_gate
+            ising, dissipator = self.generators
+            cached = matexp(_ideal_generator(gate) + stretch * ising + stretch * dissipator)
             self._gate_cache[gate] = cached
         return cached
 
 
 def build_model(params: NoiseParams) -> TwoQubitModel:
     """Assemble the model: noisy in/out gates applied to the noisy state/effect."""
-    basis = pauli_basis(2)
-    rho0 = initial_state(params, basis)
-    meas = measurement_effect(params, basis)
-    generators = _noise_generators(params, basis)
-    cache = {g: _gate_matrix(g, params.t_gate, basis, generators) for g in IDEAL_GATE_SET}
-    spam_in = np.array([cache[g] @ rho0 for g in IDEAL_GATE_SET])
-    spam_out = np.array([cache[g].T @ meas for g in IDEAL_GATE_SET])
-    return TwoQubitModel(
-        params=params,
-        basis=basis,
-        spam_in=spam_in,
-        spam_out=spam_out,
-        generators=generators,
-        _gate_cache=cache,
-    )
+    dissipator = _dissipator(params.gamma1, params.gamma3, params.gamma_phi)
+    model = TwoQubitModel(params=params, basis=pauli_basis(2), spam_in=None, spam_out=None,
+                          generators=(ising_generator(params.coupling), dissipator))
+    rho0, meas = initial_state(params), measurement_effect(params)
+    model.spam_in = np.array([model.gate_ptm(g) @ rho0 for g in IDEAL_GATE_SET])
+    model.spam_out = np.array([model.gate_ptm(g).T @ meas for g in IDEAL_GATE_SET])
+    return model
 
 
 def distort_spam(

@@ -32,7 +32,6 @@ __all__ = [
     "OperatorBasis",
     "pauli_basis",
     "vectorize_state",
-    "vectorize_effect",
     "ptm_of_map",
     "hamiltonian_generator",
     "dissipator_generator",
@@ -125,14 +124,9 @@ def pauli_basis(num_qubits: int) -> OperatorBasis:
 
 
 def vectorize_state(rho: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Expansion coordinates ``Tr(P_m rho) / sqrt(d)`` of a density operator."""
+    """Expansion coordinates ``Tr(P_m rho) / sqrt(d)`` of a density operator or a POVM effect."""
     coords = np.einsum("im,i->m", basis.vec_columns.conj(), np.ravel(rho))  # see _superop_to_ptm
     return coords.real / np.sqrt(basis.dim)
-
-
-def vectorize_effect(effect: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Expansion coordinates ``Tr(P_n Pi) / sqrt(d)`` of a POVM effect."""
-    return vectorize_state(effect, basis)
 
 
 def ptm_of_map(apply_map: Callable[[np.ndarray], np.ndarray], basis: OperatorBasis) -> np.ndarray:
@@ -195,13 +189,10 @@ def _embed(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
 
 
 def dissipator_generator(
-    gamma1: float,
-    gamma3: float,
-    gamma_phi: float,
-    num_qubits: int,
-    basis: OperatorBasis | None = None,
+    gamma1: float, gamma3: float, gamma_phi: float, num_qubits: int
 ) -> np.ndarray:
-    """Local decay/excitation/dephasing dissipator, summed over all qubits.
+    """Local decay/excitation/dephasing dissipator, summed over all qubits, in
+    ``pauli_basis(num_qubits)``.
 
     Jump operators per qubit: lowering at rate ``gamma1``, raising at rate
     ``gamma3``, and ``sigma_z`` at rate ``gamma_phi / 2``.  The dephasing
@@ -213,8 +204,7 @@ def dissipator_generator(
     for name, rate in (("gamma1", gamma1), ("gamma3", gamma3), ("gamma_phi", gamma_phi)):
         if rate < 0:
             raise NegativeRate(f"{name} = {rate} must be >= 0")
-    if basis is None:
-        basis = pauli_basis(num_qubits)
+    basis = pauli_basis(num_qubits)
     eye = np.eye(basis.dim)
     superop = np.zeros((basis.size, basis.size), dtype=complex)
     for q in range(num_qubits):

@@ -303,7 +303,7 @@ def test_criterion_9_oracle_equivalence():
             gamma_phi=rng.uniform(0.0, 3e4),
         )
         duration = rng.uniform(1e-7, 3e-5)
-        gen = dissipator_generator(params.gamma1, params.gamma3, params.gamma_phi, 1, BASIS1)
+        gen = dissipator_generator(params.gamma1, params.gamma3, params.gamma_phi, 1)
         jumps = model_jump_operators(params, num_qubits=1)
         rho = random_density_matrix(rng, 2)
         evolved = integrate_master_equation(rho, np.zeros((2, 2)), jumps, duration)
@@ -314,7 +314,7 @@ def test_criterion_9_oracle_equivalence():
     diss_ok = worst_diss < 1e-8
 
     # full noisy gate vs integration of the complete master equation
-    from ctxdep import GateSpec, noisy_gate
+    from ctxdep import GateSpec, build_model
 
     worst_gate = 0.0
     axes = ("I", "X", "Y")
@@ -328,7 +328,7 @@ def test_criterion_9_oracle_equivalence():
             gamma_phi=rng.uniform(0.0, 3e4),
             coupling=rng.uniform(-2e6, 2e6),
         )
-        ptm = noisy_gate(gate, params, BASIS2)
+        ptm = build_model(params).gate_ptm(gate)
         sigma = {"I": np.zeros((2, 2)), "X": np.array([[0, 1], [1, 0]]), "Y": PAULI_Y}[axis]
         h = (angle / 2.0) * np.kron(sigma, PAULI_I) + (
             params.coupling * params.t_gate / 2.0
@@ -345,5 +345,5 @@ def test_criterion_9_oracle_equivalence():
         9,
         ok,
         f"oracle deviations: ptm_of_map={worst:.2e}, dissipator={worst_diss:.2e}, "
-        f"noisy_gate={worst_gate:.2e} (<1e-8, 100 draws each)",
+        f"gate_ptm={worst_gate:.2e} (<1e-8, 100 draws each)",
     )

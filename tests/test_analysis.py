@@ -34,7 +34,6 @@ from ctxdep import (
     trace_powers,
     unitarity_tilde,
     unitarity_u,
-    vectorize_effect,
     vectorize_state,
 )
 
@@ -118,7 +117,7 @@ def ideal_spam_matrices():
         u = gate_unitary(gate)
         psi = u @ ket0
         c.append(vectorize_state(np.outer(psi, psi.conj()), BASIS1))
-        b.append(vectorize_effect(u.conj().T @ proj1 @ u, BASIS1))
+        b.append(vectorize_state(u.conj().T @ proj1 @ u, BASIS1))
     return np.column_stack(b), np.column_stack(c)
 
 

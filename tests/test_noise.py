@@ -23,7 +23,6 @@ from ctxdep import (
     log_abs_det,
     matexp,
     measurement_effect,
-    noisy_gate,
     pauli_basis,
     ptm_of_map,
     vectorize_state,
@@ -108,10 +107,10 @@ class TestGateSpec:
 
 class TestIsingGenerator:
     def test_zero_coupling(self):
-        np.testing.assert_allclose(ising_generator(0.0, BASIS2), np.zeros((16, 16)))
+        np.testing.assert_allclose(ising_generator(0.0), np.zeros((16, 16)))
 
     def test_antisymmetry(self):
-        gen = ising_generator(3.0e5, BASIS2)
+        gen = ising_generator(3.0e5)
         np.testing.assert_allclose(gen, -gen.T, atol=1e-9)
         np.testing.assert_allclose(gen[0], np.zeros(16), atol=1e-12)
 
@@ -120,7 +119,7 @@ class TestIsingGenerator:
         # generator exponential against direct unitary conjugation
         j_rate = 2.0e5
         t = 3.7e-6
-        gen = ising_generator(j_rate, BASIS2)
+        gen = ising_generator(j_rate)
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         rho0 = np.kron(np.outer(plus, plus.conj()), np.diag([1.0, 0.0])).astype(complex)
         scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -139,14 +138,12 @@ class TestIsingGenerator:
 class TestNoisyGate:
     def test_ideal_idle_is_identity(self):
         params = make_params(gamma1=0.0, gamma3=0.0, gamma_phi=0.0, coupling=0.0)
-        np.testing.assert_allclose(noisy_gate(GATE_IDLE, params, BASIS2), np.eye(16), atol=1e-12)
+        np.testing.assert_allclose(build_model(params).gate_ptm(GATE_IDLE), np.eye(16), atol=1e-12)
 
     def test_determinant_from_generator_trace(self):
         params = make_params(phi=0.0)
-        gate = noisy_gate(GATE_IDLE, params, BASIS2)
-        diss = dissipator_generator(
-            params.gamma1, params.gamma3, params.gamma_phi, 2, BASIS2
-        )
+        gate = build_model(params).gate_ptm(GATE_IDLE)
+        diss = dissipator_generator(params.gamma1, params.gamma3, params.gamma_phi, 2)
         # det(exp(M)) = exp(tr M); only the dissipator has nonzero trace
         assert log_abs_det(gate) == pytest.approx(
             params.t_gate * np.trace(diss), rel=1e-10
@@ -155,69 +152,68 @@ class TestNoisyGate:
 
     def test_ideal_x_pi_factorizes(self):
         params = make_params(gamma1=0.0, gamma3=0.0, gamma_phi=0.0, coupling=0.0)
-        gate = noisy_gate(GATE_X_PI, params, BASIS2)
+        gate = build_model(params).gate_ptm(GATE_X_PI)
         from ctxdep.ptm import PAULI_X
 
         x_ptm = ptm_of_map(lambda r: PAULI_X @ r @ PAULI_X, BASIS1)
         np.testing.assert_allclose(gate, np.kron(x_ptm, np.eye(4)), atol=1e-10)
 
     def test_ideal_limit_whole_gate_set(self):
-        params = make_params(gamma1=0.0, gamma3=0.0, gamma_phi=0.0, coupling=0.0)
+        model = build_model(make_params(gamma1=0.0, gamma3=0.0, gamma_phi=0.0, coupling=0.0))
         for spec in IDEAL_GATE_SET:
             u = gate_unitary(spec)
             ideal = ptm_of_map(lambda r: u @ r @ u.conj().T, BASIS1)
             np.testing.assert_allclose(
-                noisy_gate(spec, params, BASIS2), np.kron(ideal, np.eye(4)), atol=1e-10
+                model.gate_ptm(spec), np.kron(ideal, np.eye(4)), atol=1e-10
             )
 
     def test_duration_multiplier_scales_decoherence(self):
-        params = make_params(phi=0.0)
-        double = noisy_gate(GateSpec("I", duration=2), params, BASIS2)
-        single = noisy_gate(GATE_IDLE, params, BASIS2)
+        model = build_model(make_params(phi=0.0))
+        double = model.gate_ptm(GateSpec("I", duration=2))
+        single = model.gate_ptm(GATE_IDLE)
         np.testing.assert_allclose(double, single @ single, atol=1e-12)
 
     def test_trace_preservation(self):
-        params = make_params(phi=0.005)
+        model = build_model(make_params(phi=0.005))
         for gate in IDEAL_GATE_SET:
-            ptm = noisy_gate(gate, params, BASIS2)
+            ptm = model.gate_ptm(gate)
             expected = np.zeros(16)
             expected[0] = 1.0
             np.testing.assert_allclose(ptm[0], expected, atol=1e-12)
 
     def test_factorizes_without_coupling(self):
         params = make_params(phi=0.0)
-        diss1 = dissipator_generator(
-            params.gamma1, params.gamma3, params.gamma_phi, 1, BASIS1
-        )
+        diss1 = dissipator_generator(params.gamma1, params.gamma3, params.gamma_phi, 1)
         spectator = matexp(params.t_gate * diss1)
+        model = build_model(params)
         for gate in IDEAL_GATE_SET:
-            joint = noisy_gate(gate, params, BASIS2)
-            rot = rotation_generator(gate, BASIS2)[np.ix_(range(0, 16, 4), range(0, 16, 4))]
+            joint = model.gate_ptm(gate)
+            rot = rotation_generator(gate)[np.ix_(range(0, 16, 4), range(0, 16, 4))]
             target = matexp(rot + params.t_gate * diss1)
             np.testing.assert_allclose(joint, np.kron(target, spectator), atol=1e-10)
 
     def test_complete_positivity_without_coupling(self):
-        params = make_params(phi=0.0)
+        model = build_model(make_params(phi=0.0))
         for gate in IDEAL_GATE_SET:
-            choi = choi_matrix(noisy_gate(gate, params, BASIS2), BASIS2)
+            choi = choi_matrix(model.gate_ptm(gate), BASIS2)
             assert np.linalg.eigvalsh(choi).min() > -1e-10
 
     def test_determinant_independent_of_gate_label(self):
-        params = make_params(phi=0.003)
-        dets = [log_abs_det(noisy_gate(g, params, BASIS2)) for g in IDEAL_GATE_SET]
+        model = build_model(make_params(phi=0.003))
+        dets = [log_abs_det(model.gate_ptm(g)) for g in IDEAL_GATE_SET]
         assert max(dets) - min(dets) < 1e-9
 
     def test_rejects_non_gate(self):
-        params = make_params()
+        model = build_model(make_params())
         with pytest.raises(UnknownGate):
-            noisy_gate("X_pi", params, BASIS2)
+            model.gate_ptm("X_pi")
 
     def test_oracle_evolution(self):
         # exp-of-generator evolution vs direct master-equation integration
         rng = np.random.default_rng(31)
         params = make_params(phi=0.01)
         gate = GateSpec("Y", -np.pi / 2)
-        ptm = noisy_gate(gate, params, BASIS2)
+        ptm = build_model(params).gate_ptm(gate)
         jumps = [(r * params.t_gate, op) for r, op in model_jump_operators(params)]
         h = (gate.angle / 2.0) * np.kron(
             np.array([[0, -1j], [1j, 0]]), np.eye(2)
@@ -239,11 +235,11 @@ class TestInitialStateAndMeasurement:
         rho00 = np.zeros((4, 4), dtype=complex)
         rho00[0, 0] = 1.0
         np.testing.assert_allclose(
-            initial_state(params, BASIS2), vectorize_state(rho00, BASIS2)
+            initial_state(params), vectorize_state(rho00, BASIS2)
         )
 
     def test_trace_coordinate(self):
-        state = initial_state(make_params(), BASIS2)
+        state = initial_state(make_params())
         assert state[0] == pytest.approx(0.5)  # Tr(rho)/sqrt(4)
 
     def test_stationary_under_decoherence(self):
@@ -252,16 +248,14 @@ class TestInitialStateAndMeasurement:
         assert params.p_ground == pytest.approx(
             params.gamma1 / (params.gamma1 + params.gamma3)
         )
-        diss = dissipator_generator(
-            params.gamma1, params.gamma3, params.gamma_phi, 2, BASIS2
-        )
+        diss = dissipator_generator(params.gamma1, params.gamma3, params.gamma_phi, 2)
         np.testing.assert_allclose(
-            diss @ initial_state(params, BASIS2), np.zeros(16), atol=1e-10 * params.gamma1
+            diss @ initial_state(params), np.zeros(16), atol=1e-10 * params.gamma1
         )
 
     def test_effect_scales_with_eta(self):
-        full = measurement_effect(make_params(eta=1.0), BASIS2)
-        half = measurement_effect(make_params(eta=0.5), BASIS2)
+        full = measurement_effect(make_params(eta=1.0))
+        half = measurement_effect(make_params(eta=0.5))
         np.testing.assert_allclose(half, 0.5 * full)
 
 
@@ -333,21 +327,21 @@ class TestBuildModel:
         # other rates build another one
         assert build_model(make_params(phi=0.005, gamma1=1e4)).generators[1] is not dissipator
         assert len(calls) == 2
-        # a gate outside the in/out set reuses the model's generators too,
-        # and matches the standalone construction bit for bit
-        gate = GateSpec("X", 0.7, 3)
-        assert np.array_equal(model.gate_ptm(gate), noisy_gate(gate, params, model.basis))
+        # a gate outside the in/out set reuses the model's generators too
+        model.gate_ptm(GateSpec("X", 0.7, 3))
         assert len(calls) == 2
 
     def test_fixed_parts_are_shared_and_read_only(self):
         # the basis, its change-of-basis matrix and the ideal rotation generators
         # depend on neither phi nor the rates: every model shares one copy
         first = build_model(make_params(phi=0.0))
+        built = ctxdep.noise._ideal_generator.cache_info().misses
         second = build_model(make_params(phi=0.005, gamma1=1e4))
+        assert ctxdep.noise._ideal_generator.cache_info().misses == built
         assert first.basis is second.basis is pauli_basis(2)
-        generator = ctxdep.noise._ideal_generator(GATE_X_PI, first.basis)
-        assert ctxdep.noise._ideal_generator(GATE_X_PI, second.basis) is generator
-        assert np.array_equal(generator, rotation_generator(GATE_X_PI, BASIS2))
+        generator = ctxdep.noise._ideal_generator(GATE_X_PI)
+        assert ctxdep.noise._ideal_generator(GATE_X_PI) is generator
+        assert np.array_equal(generator, rotation_generator(GATE_X_PI))
         for array in (*first.basis.elements, first.basis.vec_columns, generator):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0

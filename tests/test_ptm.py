@@ -18,8 +18,7 @@ from ctxdep import (
     trace_powers,
 )
 import ctxdep.ptm
-from ctxdep.ptm import (PAULI_X, PAULI_Z, _superop_to_ptm, log_abs_det_many, vectorize_effect,
-                        vectorize_state)
+from ctxdep.ptm import PAULI_X, PAULI_Z, _superop_to_ptm, log_abs_det_many, vectorize_state
 
 from .conftest import (
     amplitude_damping_kraus,
@@ -98,7 +97,7 @@ class TestVectorize:
             effect = np.eye(basis.dim) - random_density_matrix(rng, basis.dim)  # 0 <= E <= I
             np.testing.assert_allclose(vectorize_state(refusing(rho), basis),
                                        self.definition(rho, basis), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(vectorize_effect(refusing(effect), basis),
+            np.testing.assert_allclose(vectorize_state(refusing(effect), basis),
                                        self.definition(effect, basis), rtol=0, atol=1e-15)
 
 
@@ -300,7 +299,7 @@ class TestDissipatorGenerator:
             )
             oracle = ptm_of_map(lambda rho: lindblad_action(rho, jumps), basis)
             np.testing.assert_allclose(
-                dissipator_generator(g1, g3, gphi, num_qubits, basis), oracle, rtol=0, atol=1e-12
+                dissipator_generator(g1, g3, gphi, num_qubits), oracle, rtol=0, atol=1e-12
             )
 
     def test_rejects_negative_rate(self):
